@@ -93,8 +93,16 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     else:
         minority = min(counts, key=counts.get)
 
+    X = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"non-finite value {float(X[row, col])!r} in column {feature_names[col]!r}",
+            line=int(row) + 2,
+        )
     y = np.array([1 if v == minority else 0 for v in raw_labels], dtype=np.int64)
-    return LabeledDataset(X=np.array(rows, dtype=np.float64), y=y, feature_names=feature_names)
+    return LabeledDataset(X=X, y=y, feature_names=feature_names)
 
 
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:

@@ -10,8 +10,10 @@ selected above a quantile threshold of that difference distribution.
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,9 +170,12 @@ def delta_re(l_min, l_maj) -> np.ndarray:
 def select_features(delta, delta_quantile: float, l_min=None, l_maj=None) -> SelectionResult:
     """Select the features whose delta lies strictly above its empirical quantile.
 
-    The threshold is the linear-interpolation quantile at position
-    (J - 1) * delta_quantile over the sorted delta values; ties at the
-    threshold are excluded. Selected indices come back in ascending order.
+    The quantile is the linear interpolation at position
+    h = (J - 1) * delta_quantile over the sorted delta values; ties at it are
+    excluded. Membership is decided from the order statistics around the
+    exact h, because the interpolated float can round onto a neighbouring
+    value; ``threshold`` reports that float (``np.quantile``). Selected
+    indices come back in ascending order.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 1 or delta.size == 0:
@@ -178,7 +183,14 @@ def select_features(delta, delta_quantile: float, l_min=None, l_maj=None) -> Sel
     if not 0.0 <= delta_quantile < 1.0:
         raise ParameterError(f"delta_quantile must lie in [0, 1), got {delta_quantile}")
     threshold = float(np.quantile(delta, delta_quantile))
-    selected = np.flatnonzero(delta > threshold)
+    s = np.sort(delta)
+    h = (delta.size - 1) * Fraction(delta_quantile)
+    k = math.floor(h)
+    if h == k or s[k + 1] == s[k]:
+        selected = np.flatnonzero(delta > s[k])
+    else:
+        # s[k] < quantile < s[k + 1], and no value lies strictly between.
+        selected = np.flatnonzero(delta >= s[k + 1])
     return SelectionResult(
         delta=delta,
         delta_quantile=float(delta_quantile),

@@ -151,10 +151,22 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     entries = [(None, np.arange(cds.n_features))]
     for sel in selections:
         if isinstance(sel, SelectionResult):
-            entries.append((sel.delta_quantile, sel.selected))
+            if len(sel.delta) != cds.n_features:
+                raise DataError(
+                    f"selection at quantile {sel.delta_quantile} scores {len(sel.delta)} "
+                    f"features; the held-out dataset has {cds.n_features}"
+                )
+            dq, cols = sel.delta_quantile, sel.selected
         else:
             dq, cols = sel
-            entries.append((dq, np.asarray(cols, dtype=np.int64)))
+            cols = np.asarray(cols, dtype=np.int64)
+        outside = cols[(cols < 0) | (cols >= cds.n_features)]
+        if outside.size:
+            raise DataError(
+                f"selection at quantile {dq} holds feature index {int(outside[0])}; "
+                f"the held-out dataset has features 0..{cds.n_features - 1}"
+            )
+        entries.append((dq, cols))
 
     for trial in range(protocol.trials):
         (x_tr, y_tr), (x_te, y_te) = stratified_split(
@@ -171,8 +183,9 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
                         note="empty selection; skipped",
                     ))
                 continue
+            xs_tr, xs_te = x_tr[:, cols], x_te[:, cols]
             for name in protocol.classifiers:
-                roc, sens = _fit_and_score(name, x_tr[:, cols], y_tr, x_te[:, cols], y_te)
+                roc, sens = _fit_and_score(name, xs_tr, y_tr, xs_te, y_te)
                 report.rows.append(EvalRow(
                     classifier=name, delta_quantile=dq, trial=trial,
                     n_features=len(cols), auroc=roc, sensitivity=sens,

@@ -28,16 +28,14 @@ def auroc(scores, labels) -> float:
         raise DataError("auroc requires both classes")
 
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    # Midranks: tied scores share the average of their 1-based rank range.
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Midranks: a run of tied scores at sorted positions start..end shares
+    # the average of their 1-based ranks. NaN equals nothing, so each NaN is
+    # a run of its own.
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
 
     u = np.sum(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -192,10 +192,6 @@ class DsaeModel:
             config=self.config,
         )
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass
 class ForwardCache:

@@ -112,6 +112,47 @@ def test_lr_nonconvergence_warns_not_raises(caplog):
     assert any("converge" in rec.message for rec in caplog.records)
 
 
+def reference_gradients(w, b, X, y, l2):
+    """The log-loss gradients as first written, with np.clip and np.mean."""
+    n = X.shape[0]
+    z = X @ w + b
+    residual = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))) - y
+    return X.T @ residual / n + l2 * w / n, float(np.mean(residual))
+
+
+def gradient_descent_reference(X, y, l2=1.0, learning_rate=0.1, max_iter=1000, tol=1e-8):
+    """The fit loop on the reference gradients; returns (w, b, iterations)."""
+    X = np.asarray(X, dtype=np.float64)
+    yf = np.asarray(y).astype(np.int64).astype(np.float64)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for iteration in range(max_iter):
+        grad_w, grad_b = reference_gradients(w, b, X, yf, l2)
+        _, loss_grad_w, loss_grad_b = logistic_loss_grad(w, b, X, yf, l2)
+        assert np.array_equal(loss_grad_w, grad_w) and loss_grad_b == grad_b
+        if max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b)) < tol:
+            return w, b, iteration
+        w -= learning_rate * grad_w
+        b -= learning_rate * grad_b
+    return w, b, max_iter
+
+
+@pytest.mark.parametrize("n_rows, n_features, zero", [
+    (50, 1, False),     # d = 1
+    (30, 80, False),    # wider than tall
+    (40, 3, True),      # all-zero features: converges before max_iter
+])
+def test_lr_fit_equals_loss_grad_reference_bit_for_bit(n_rows, n_features, zero):
+    rng = np.random.default_rng(n_features)
+    x = np.zeros((n_rows, n_features)) if zero else rng.normal(size=(n_rows, n_features))
+    y = np.r_[np.zeros(n_rows - n_rows // 4, dtype=int), np.ones(n_rows // 4, dtype=int)]
+    w, b, iterations = gradient_descent_reference(x, y)
+    assert (iterations < 1000) == zero
+    model = LogisticRegression().fit(x, y)
+    assert np.array_equal(model.coef_, w)
+    assert model.intercept_ == b
+
+
 def test_lr_deterministic():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(25, 2))
@@ -159,3 +200,47 @@ def test_knn_six_point_hand_case_matches_brute_force():
         dists = [float(np.sqrt(np.sum((row - q) ** 2))) for row in x]
         nearest = sorted(range(6), key=lambda i: (dists[i], i))[:3]
         assert got == pytest.approx(np.mean([y[i] for i in nearest]))
+
+
+def stable_sort_knn_reference(x_train, y_train, queries, k):
+    """Mean label of the first k training rows in a stable sort of distances."""
+    x_train = np.asarray(x_train, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    k = min(k, len(y_train))
+    d2 = (
+        np.sum(queries**2, axis=1)[:, None]
+        - 2.0 * queries @ x_train.T
+        + np.sum(x_train**2, axis=1)[None, :]
+    )
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.asarray(y_train)[order].mean(axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 39, 40, 60])
+def test_knn_equals_stable_sort_reference_on_ties(k):
+    # A 3-value integer grid in 2-D: nearly every distance is tied, and the
+    # training set repeats every row at least once.
+    rng = np.random.default_rng(k)
+    grid = rng.integers(0, 3, size=(20, 2)).astype(float)
+    x = np.r_[grid, grid[::-1]]
+    y = rng.integers(0, 2, size=40)
+    y[:2] = (0, 1)
+    queries = rng.integers(0, 3, size=(23, 2)).astype(float)
+    model = KNeighbors(k=k).fit(x, y)
+    want = stable_sort_knn_reference(x, y, queries, k)
+    for chunk in (512, 7, 1):  # 7 splits the 23 queries across chunk boundaries
+        assert np.array_equal(model.predict_scores(queries, chunk=chunk), want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_knn_equals_stable_sort_reference_on_overflowing_distances(k):
+    # Squares beyond the float range give inf - inf = NaN distances, which a
+    # stable sort puts last; with k = 3 the k-th distance of the first query
+    # is itself NaN.
+    x = np.array([[1e200], [2e200], [0.0], [3e200], [1.0]])
+    y = np.array([1, 0, 1, 0, 1])
+    queries = np.array([[1e200], [0.5], [-3e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = stable_sort_knn_reference(x, y, queries, k)
+        got = KNeighbors(k=k).fit(x, y).predict_scores(queries)
+    assert np.array_equal(got, want)

@@ -268,6 +268,20 @@ def test_missing_dataset_exits_2(tmp_path):
     assert main(["select", "--config", str(cfg)]) == 2
 
 
+def test_evaluate_selection_beyond_dataset_exits_2(run_dir, capsys):
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    path = out_dir / "selection_delta_0.9.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["selected"] = doc["selected"] + [12]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "feature index 12" in err
+    assert "Traceback" not in err
+
+
 def test_architecture_mismatch_exits_1(run_dir, tmp_path):
     cfg_path, _ = run_dir
     text = cfg_path.read_text().replace("encoder = 12-6-3", "encoder = 9-6-3")

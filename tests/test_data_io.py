@@ -57,6 +57,13 @@ def test_load_csv_non_numeric_cell_cites_line(tmp_path):
         load_csv(path, label="target")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_csv_non_finite_cell_cites_line_and_column(tmp_path, cell):
+    path = write(tmp_path, "d.csv", f"f1,f2,target\n1,2,a\n3,4,a\n5,{cell},b\n")
+    with pytest.raises(ParseError, match=r"line 4: non-finite value .* in column 'f2'"):
+        load_csv(path, label="target")
+
+
 def test_load_csv_ragged_row_cites_line(tmp_path):
     path = write(tmp_path, "d.csv", "f1,f2,target\n1,2,a\n3,4\n5,6,b\n")
     with pytest.raises(ParseError, match="line 3"):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refsel import (
@@ -194,6 +194,18 @@ def test_select_zero_quantile_selects_above_minimum():
     assert result.selected.tolist() == [0, 2]
 
 
+def test_select_uses_exact_quantile_when_threshold_float_rounds():
+    # The top two values lie one ulp apart: the float threshold at h = 1.5
+    # rounds onto one of them, yet the exact quantile lies strictly between.
+    top = 1.0
+    below = np.nextafter(top, 0.0)
+    result = select_features([0.0, below, top], 0.75)
+    assert result.threshold == float(np.quantile([0.0, below, top], 0.75))
+    assert result.selected.tolist() == [2]
+    # An integer position keeps ties at the order statistic out.
+    assert select_features([0.0, below, top], 0.5).selected.tolist() == [2]
+
+
 def test_select_rejects_bad_quantile():
     for dq in (-0.1, 1.0, 1.5):
         with pytest.raises(ParameterError):
@@ -216,6 +228,7 @@ def test_selection_nestedness(deltas, q_lo, q_hi):
 
 
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=30, unique=True))
+@example(deltas=[0.0, 5e-324])  # the interpolated threshold rounds onto the maximum
 @settings(max_examples=100, deadline=None)
 def test_unique_maximum_selected_at_top_quantile(deltas):
     j = len(deltas)

@@ -201,6 +201,22 @@ def test_evaluate_deterministic_and_planted_close_to_baseline():
     assert abs(mean_sel - mean_base) <= 0.05
 
 
+@pytest.mark.parametrize("cols", [[3, 20], [-1, 3], [25]])
+def test_selection_index_outside_dataset_is_data_error(cols):
+    cds, _ = planted_cds()
+    protocol = EvalProtocol(trials=1, classifiers=("gaussian_nb",))
+    with pytest.raises(DataError, match="feature index"):
+        evaluate_selection(cds, [(0.5, cols)], protocol)
+
+
+def test_selection_scored_on_other_width_is_data_error():
+    cds, _ = planted_cds()
+    wider = select_features(np.arange(30, dtype=float), 0.9)
+    protocol = EvalProtocol(trials=1, classifiers=("gaussian_nb",))
+    with pytest.raises(DataError, match="scores 30 features"):
+        evaluate_selection(cds, [wider], protocol)
+
+
 def test_report_covers_every_combination():
     cds, _ = planted_cds()
     sel = select_features(np.arange(20, dtype=float), 0.8)

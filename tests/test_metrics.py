@@ -17,6 +17,40 @@ def pairwise_auroc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def midrank_loop_auroc(scores, labels):
+    """AUROC from midranks found by walking runs of equal sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = np.sum(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "ties", "nan"])
+def test_auroc_equals_midrank_loop_reference(kind):
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(2, 50))
+        labels = np.r_[0, 1, rng.integers(0, 2, n - 2)]
+        if kind == "distinct":
+            scores = rng.normal(size=n)
+        else:
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+        if kind == "nan":
+            scores[rng.uniform(size=n) < 0.3] = np.nan
+        assert auroc(scores, labels) == midrank_loop_auroc(scores, labels)
+
+
 def test_auroc_perfect_separation():
     assert auroc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
 
