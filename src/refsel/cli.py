@@ -30,7 +30,7 @@ from .data import (
     save_json,
     save_selection,
     selection_summary_table,
-    write_text_atomic,
+    write_csv,
 )
 from .ensemble import component_seeds, run_ensemble, select_at_thresholds
 from .evaluate import chi2_rank, evaluate_selection
@@ -121,8 +121,12 @@ def _load_dataset(cfg: RunConfig) -> LabeledDataset:
     )
 
 
-def _prepare(cfg: RunConfig):
-    """Load, optionally split into FSDS/CDS, and scale with FSDS-fit params."""
+def _train(cfg: RunConfig):
+    """Load, split and scale the data, then train the ensemble on the FSDS.
+
+    Returns (fsds, cds, q); cds is None without a [split] section. Scaling is
+    fit on the FSDS alone and applied to both sides.
+    """
     data = _load_dataset(cfg)
     if cfg.split is not None:
         fsds, cds = build_fsds_cds(data, cfg.split)
@@ -132,16 +136,15 @@ def _prepare(cfg: RunConfig):
     fsds = LabeledDataset(apply_scaling(params, fsds.X), fsds.y, fsds.feature_names)
     if cds is not None:
         cds = LabeledDataset(apply_scaling(params, cds.X), cds.y, cds.feature_names)
-    return fsds, cds
-
-
-def _check_architecture(cfg: RunConfig, data: LabeledDataset):
     dsae = cfg.dsae_config()
-    if dsae.n_features != data.n_features:
+    if dsae.n_features != fsds.n_features:
         raise UsageError(
             f"encoder expects {dsae.n_features} input features but the dataset has "
-            f"{data.n_features}; fix the [ensemble] encoder/decoder widths"
+            f"{fsds.n_features}; fix the [ensemble] encoder/decoder widths"
         )
+    logger.info("selection dataset: %d majority / %d minority rows, %d features",
+                fsds.n_majority, fsds.n_minority, fsds.n_features)
+    return fsds, cds, run_ensemble(fsds, cfg.ensemble_config())
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
@@ -164,16 +167,12 @@ def _selection_filename(dq: float) -> str:
 
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
-    fsds, cds = _prepare(cfg)
-    _check_architecture(cfg, fsds)
-    logger.info("selection dataset: %d majority / %d minority rows, %d features",
-                fsds.n_majority, fsds.n_minority, fsds.n_features)
-    q = run_ensemble(fsds, cfg.ensemble_config())
+    fsds, cds, q = _train(cfg)
     results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
     out = Path(cfg.output_dir)
     for result in results:
         save_selection(result, out / _selection_filename(result.delta_quantile))
-    write_text_atomic(out / "selection_summary.csv", selection_summary_table(results))
+    write_csv(out / "selection_summary.csv", *selection_summary_table(results))
     if cds is not None:
         save_csv(cds, out / "cds.csv")
     _write_manifest(cfg, "select", extra={"q_shape": list(q.Q.shape)})
@@ -198,8 +197,8 @@ def _cmd_evaluate(args) -> int:
     cds = load_csv(cds_path, label="label", minority_label=minority)
     report = evaluate_selection(cds, selections, cfg.protocol())
     out = Path(cfg.output_dir)
-    write_text_atomic(out / "report_rows.csv", report_rows_table(report))
-    write_text_atomic(out / "report_summary.csv", report_summary_table(report))
+    write_csv(out / "report_rows.csv", *report_rows_table(report))
+    write_csv(out / "report_summary.csv", *report_summary_table(report))
     save_json(report_to_dict(report), out / "report.json")
     _write_manifest(cfg, "evaluate", extra={"cds_path": str(cds_path)})
     logger.info("wrote evaluation report to %s", out)
@@ -210,9 +209,7 @@ def _cmd_benchmark(args) -> int:
     cfg = _resolved_config(args)
     if cfg.split is None:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
-    fsds, cds = _prepare(cfg)
-    _check_architecture(cfg, fsds)
-    q = run_ensemble(fsds, cfg.ensemble_config())
+    fsds, cds, q = _train(cfg)
     results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
     matched = [
         (r.delta_quantile,
@@ -224,22 +221,14 @@ def _cmd_benchmark(args) -> int:
         "refsel": evaluate_selection(cds, results, protocol),
         "chi2": evaluate_selection(cds, matched, protocol),
     }
-    header = "method," + report_rows_table(reports["refsel"]).splitlines()[0]
-    lines = [header]
-    for method, report in reports.items():
-        lines.extend(
-            f"{method},{line}" for line in report_rows_table(report).splitlines()[1:]
-        )
     out = Path(cfg.output_dir)
-    write_text_atomic(out / "benchmark_rows.csv", "\n".join(lines) + "\n")
-
-    header = "method," + report_summary_table(reports["refsel"]).splitlines()[0]
-    lines = [header]
-    for method, report in reports.items():
-        lines.extend(
-            f"{method},{line}" for line in report_summary_table(report).splitlines()[1:]
-        )
-    write_text_atomic(out / "benchmark_summary.csv", "\n".join(lines) + "\n")
+    for table, filename in ((report_rows_table, "benchmark_rows.csv"),
+                            (report_summary_table, "benchmark_summary.csv")):
+        rows = []
+        for method, report in reports.items():
+            header, body = table(report)
+            rows += [[method, *row] for row in body]
+        write_csv(out / filename, ["method", *header], rows)
     _write_manifest(cfg, "benchmark")
     logger.info("wrote benchmark tables to %s", out)
     return 0
@@ -247,9 +236,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_export_q(args) -> int:
     cfg = _resolved_config(args)
-    fsds, _ = _prepare(cfg)
-    _check_architecture(cfg, fsds)
-    q = run_ensemble(fsds, cfg.ensemble_config())
+    fsds, _, q = _train(cfg)
     out = Path(cfg.output_dir)
     export_q_csv(q, out / "q_matrix.csv", fsds.feature_names)
     _write_manifest(cfg, "export-q", extra={"q_shape": list(q.Q.shape)})

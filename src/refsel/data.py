@@ -2,8 +2,8 @@
 
 File formats: CSV with a header row, comma delimiter, UTF-8 and '.' decimals;
 IDX image/label pairs (big-endian magic 0x00000803 / 0x00000801, unsigned
-bytes). All writes go through a temp-file-then-rename so partial files never
-appear under the final name.
+bytes). Every write streams through ``open_atomic``, a temp-file-then-rename,
+so partial files never appear under the final name.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,10 +109,12 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:
     """Write a LabeledDataset as CSV; floats keep full round-trip precision."""
     names = dataset.feature_names or [f"f{i}" for i in range(dataset.n_features)]
-    lines = [",".join(list(names) + [label_name])]
-    for row, label in zip(dataset.X, dataset.y):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, [*names, label_name], _labelled_rows(dataset.X, dataset.y))
+
+
+def _labelled_rows(matrix, labels):
+    """CSV cells of each float64 row (``repr`` round-trips) and its integer label."""
+    return ([*map(repr, row.tolist()), str(int(label))] for row, label in zip(matrix, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +293,15 @@ def invert_scaling(params: ScalingParams, scaled) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Result persistence
 
-def write_text_atomic(path, text: str) -> None:
+@contextmanager
+def open_atomic(path):
+    """Yield a text handle on a temp file that replaces ``path`` only on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -304,8 +309,16 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def write_csv(path, header, rows) -> None:
+    """Stream a header and rows of string cells to ``path``, one line at a time."""
+    with open_atomic(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def save_json(obj, path) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def selection_to_dict(result: SelectionResult) -> dict:
@@ -327,55 +340,55 @@ def save_selection(result: SelectionResult, path) -> None:
     save_json(selection_to_dict(result), path)
 
 
+def _field(doc: dict, key: str, kinds=(int, float), dtype=None):
+    """doc[key]: one number as a float (no dtype), or a JSON list of them as an array."""
+    items = [doc[key]] if dtype is None else doc[key]
+    if not isinstance(items, list) or not all(type(v) in kinds for v in items):
+        what = "a number" if dtype is None else f"a list of {'/'.join(k.__name__ for k in kinds)}"
+        raise ValueError(f"{key!r} must be {what}")
+    return float(items[0]) if dtype is None else np.array(items, dtype=dtype)
+
+
 def load_selection(path) -> SelectionResult:
-    with Path(path).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a selection file; a malformed document raises ParseError naming ``path``."""
     try:
+        with Path(path).open(encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
         return SelectionResult(
-            delta=np.array(doc["delta"], dtype=np.float64),
-            delta_quantile=doc["delta_quantile"],
-            threshold=doc["threshold"],
-            selected=np.array(doc["selected"], dtype=np.int64),
-            l_min=np.array(doc["l_min"]) if "l_min" in doc else None,
-            l_maj=np.array(doc["l_maj"]) if "l_maj" in doc else None,
+            delta=_field(doc, "delta", dtype=np.float64),
+            delta_quantile=_field(doc, "delta_quantile"),
+            threshold=_field(doc, "threshold"),
+            selected=_field(doc, "selected", (int,), np.int64),
+            l_min=_field(doc, "l_min", dtype=np.float64) if "l_min" in doc else None,
+            l_maj=_field(doc, "l_maj", dtype=np.float64) if "l_maj" in doc else None,
         )
     except KeyError as exc:
         raise ParseError(f"{path}: selection file missing key {exc}") from None
+    except (ValueError, OverflowError) as exc:  # ValueError also covers bad JSON and UTF-8
+        raise ParseError(f"{path}: malformed selection file: {exc}") from None
 
 
-def selection_summary_table(results) -> str:
-    lines = ["delta_quantile,threshold,n_selected"]
-    for r in results:
-        lines.append(f"{r.delta_quantile!r},{r.threshold!r},{r.n_selected}")
-    return "\n".join(lines) + "\n"
+def _table(items, columns: str):
+    """(header, rows) for write_csv; floats round-trip through repr, None is the baseline."""
+    def cell(v):
+        return "baseline" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+    header = columns.split(",")
+    return header, [[cell(getattr(item, c)) for c in header] for item in items]
 
 
-def _quantile_cell(dq) -> str:
-    return "baseline" if dq is None else repr(float(dq))
+def selection_summary_table(results):
+    return _table(results, "delta_quantile,threshold,n_selected")
 
 
-def report_rows_table(report: EvalReport) -> str:
-    lines = ["classifier,delta_quantile,trial,n_features,auroc,sensitivity,note"]
-    for r in report.rows:
-        lines.append(
-            f"{r.classifier},{_quantile_cell(r.delta_quantile)},{r.trial},"
-            f"{r.n_features},{r.auroc!r},{r.sensitivity!r},{r.note}"
-        )
-    return "\n".join(lines) + "\n"
+def report_rows_table(report: EvalReport):
+    return _table(report.rows, "classifier,delta_quantile,trial,n_features,auroc,sensitivity,note")
 
 
-def report_summary_table(report: EvalReport) -> str:
-    lines = [
-        "classifier,delta_quantile,n_features,auroc_mean,auroc_std,"
-        "sensitivity_mean,sensitivity_std,note"
-    ]
-    for s in report.summaries:
-        lines.append(
-            f"{s.classifier},{_quantile_cell(s.delta_quantile)},{s.n_features},"
-            f"{s.auroc_mean!r},{s.auroc_std!r},{s.sensitivity_mean!r},"
-            f"{s.sensitivity_std!r},{s.note}"
-        )
-    return "\n".join(lines) + "\n"
+def report_summary_table(report: EvalReport):
+    return _table(report.summaries, "classifier,delta_quantile,n_features,auroc_mean,auroc_std,"
+                                    "sensitivity_mean,sensitivity_std,note")
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -390,7 +403,4 @@ def export_q_csv(q: REMatrix, path, feature_names=None) -> None:
     names = feature_names or [f"f{i}" for i in range(q.n_features)]
     if len(names) != q.n_features:
         raise DataError("feature_names length must match Q columns")
-    lines = [",".join(list(names) + ["label"])]
-    for row, label in zip(q.Q, q.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, [*names, "label"], _labelled_rows(q.Q, q.labels))

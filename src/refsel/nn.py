@@ -74,15 +74,13 @@ class LayerSpec:
 class DsaeConfig:
     """Architecture of one autoencoder.
 
-    ``code_layer_index`` names the innermost encoder layer whose activation
-    receives the L1 penalty; it must be the last encoder layer. ``seed``
-    drives both weight initialisation and the training shuffle.
+    The L1 penalty applies to the code, the activation of the last encoder
+    layer. ``seed`` drives both weight initialisation and the training shuffle.
     """
 
     encoder_layers: tuple
     decoder_layers: tuple
     l1_penalty: float = 1e-5
-    code_layer_index: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -92,10 +90,6 @@ class DsaeConfig:
             raise ParameterError("encoder and decoder each need at least one layer")
         if self.l1_penalty < 0:
             raise ParameterError("l1_penalty must be non-negative")
-        if self.code_layer_index is None:
-            object.__setattr__(self, "code_layer_index", len(self.encoder_layers) - 1)
-        if self.code_layer_index != len(self.encoder_layers) - 1:
-            raise ParameterError("code_layer_index must name the last encoder layer")
         layers = self.layers
         for k in range(1, len(layers)):
             if layers[k].input_width != layers[k - 1].output_width:
@@ -282,7 +276,7 @@ def forward(model: DsaeModel, batch):
         pre_activations.append(z)
         activations.append(a)
     cache = ForwardCache(pre_activations=pre_activations, activations=activations)
-    code = activations[model.config.code_layer_index + 1]
+    code = activations[len(model.config.encoder_layers)]
     return activations[-1], code, cache
 
 
@@ -295,7 +289,7 @@ def _check_finite(cache: ForwardCache) -> None:
 def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: ForwardCache):
     _check_finite(cache)
     recon = cache.activations[-1]
-    code = cache.activations[model.config.code_layer_index + 1]
+    code = cache.activations[len(model.config.encoder_layers)]
     mse = float(np.mean((x - recon) ** 2))
     penalty = float(model.config.l1_penalty * np.mean(np.sum(np.abs(code), axis=1)))
     return mse + penalty, mse, penalty
@@ -321,7 +315,7 @@ def backward(model: DsaeModel, batch, cache: ForwardCache) -> Gradients:
     x = _as_batch(model, batch)
     layers = model.config.layers
     n, j = x.shape
-    code_index = model.config.code_layer_index
+    code_index = len(model.config.encoder_layers) - 1
 
     grad_w = [None] * len(layers)
     grad_b = [None] * len(layers)

@@ -282,6 +282,29 @@ def test_evaluate_selection_beyond_dataset_exits_2(run_dir, capsys):
     assert "Traceback" not in err
 
 
+MALFORMED_SELECTIONS = {
+    "not_json": lambda doc: b"{not json",
+    "not_utf8": lambda doc: b"\xff\xfe{",
+    "not_an_object": lambda doc: b"[1,2]",
+    "selected_is_a_string": lambda doc: json.dumps({**doc, "selected": "ab"}).encode(),
+    "ragged_delta": lambda doc: json.dumps({**doc, "delta": [[0.1, 0.2], [0.3]]}).encode(),
+    "quantile_is_a_string": lambda doc: json.dumps({**doc, "delta_quantile": "x"}).encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SELECTIONS))
+def test_evaluate_malformed_selection_exits_2(run_dir, capsys, case):
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    path = out_dir / "selection_delta_0.9.json"
+    path.write_bytes(MALFORMED_SELECTIONS[case](json.loads(path.read_text(encoding="utf-8"))))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "selection_delta_0.9.json" in err
+
+
 def test_architecture_mismatch_exits_1(run_dir, tmp_path):
     cfg_path, _ = run_dir
     text = cfg_path.read_text().replace("encoder = 12-6-3", "encoder = 9-6-3")

@@ -1,5 +1,6 @@
 """CSV/IDX loading, dataset carving, scaling, and persistence round trips."""
 
+import json
 import struct
 
 import numpy as np
@@ -21,7 +22,7 @@ from refsel import (
     save_selection,
     select_features,
 )
-from refsel.data import export_q_csv
+from refsel.data import export_q_csv, write_csv
 from refsel.ensemble import REMatrix
 from refsel.exceptions import DataError, FormatError, ParameterError, ParseError
 
@@ -304,3 +305,108 @@ def test_export_q_matrix_layout(tmp_path):
     assert lines[0] == "a,b,label"
     assert lines[1] == "0.25,0.5,1"
     assert len(lines) == 3
+
+
+def reference_matrix_csv(names, matrix, labels):
+    """The text save_csv and export_q_csv wrote when they joined one string."""
+    lines = [",".join(list(names))]
+    for row, label in zip(matrix, labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    return "\n".join(lines) + "\n"
+
+
+# Signed zero, the smallest subnormal, a huge value, an inexact decimal and
+# integral floats: each has its own repr form.
+EDGE_VALUES = np.array([
+    [-0.0, 5e-324, 1e308, 0.1],
+    [1.0, 2.0, 1e16, 3e-05],
+    [0.0, 123456789.0, 0.30000000000000004, 7.5],
+    [1e22, 4.0, 2.5e-308, 0.2],
+])
+
+
+@pytest.mark.parametrize("names, label_name", [
+    (None, "label"),
+    (["a", "b", "c", "d"], "label"),
+    (None, "target"),
+])
+def test_save_csv_matches_joined_reference(tmp_path, names, label_name):
+    data = LabeledDataset(X=EDGE_VALUES, y=np.array([0, 1, 0, 0]), feature_names=names)
+    path = tmp_path / "d.csv"
+    save_csv(data, path, label_name=label_name)
+    header = (names or [f"f{i}" for i in range(4)]) + [label_name]
+    assert path.read_bytes() == reference_matrix_csv(header, data.X, data.y).encode()
+
+
+@pytest.mark.parametrize("names", [None, ["w", "x", "y", "z"]])
+def test_export_q_csv_matches_joined_reference(tmp_path, names):
+    q = REMatrix(Q=np.abs(EDGE_VALUES), labels=np.array([1, 0, 1, 0]))
+    q.Q[0, 0] = -0.0  # REMatrix keeps signed zero; repr writes it as -0.0
+    path = tmp_path / "q.csv"
+    export_q_csv(q, path, feature_names=names)
+    header = (names or [f"f{i}" for i in range(4)]) + ["label"]
+    assert path.read_bytes() == reference_matrix_csv(header, q.Q, q.labels).encode()
+    assert path.read_text().splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,")
+
+
+def test_export_q_csv_rejects_wrong_name_count(tmp_path):
+    q = REMatrix(Q=np.array([[0.25, 0.5], [0.1, 0.2]]), labels=np.array([1, 0]))
+    with pytest.raises(DataError, match="feature_names length"):
+        export_q_csv(q, tmp_path / "q.csv", feature_names=["a"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [None, "old,file\n"])
+def test_write_csv_failure_leaves_target_untouched(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_text(existing, encoding="utf-8")
+
+    def rows():
+        yield ["1", "2"]
+        raise RuntimeError("row generator failed")
+
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        write_csv(path, ["a", "b"], rows())
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_text(encoding="utf-8") == existing
+    assert [p.name for p in tmp_path.iterdir() if p.name != "out.csv"] == []
+
+
+VALID_SELECTION = {
+    "delta_quantile": 0.5, "threshold": 0.2, "n_selected": 1, "selected": [2],
+    "delta": [0.1, 0.2, 0.9], "l_min": [1.0, 1.0, 2.0], "l_maj": [0.9, 0.8, 1.1],
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"selected": [1.0]}, "'selected' must be a list of int"),
+    ({"selected": [True]}, "'selected' must be a list of int"),
+    ({"selected": [2 ** 70]}, "too large"),
+    ({"delta": 5.0}, "'delta' must be a list"),
+    ({"delta": ["0.1", "0.2", "0.9"]}, "'delta' must be a list"),
+    ({"threshold": None}, "'threshold' must be a number"),
+    ({"l_min": [[1.0]]}, "'l_min' must be a list"),
+])
+def test_load_selection_rejects_wrong_types(tmp_path, change, message):
+    # The malformed files a user is likely to hit are in the CLI exit-code tests.
+    path = tmp_path / "sel.json"
+    path.write_text(json.dumps({**VALID_SELECTION, **change}), encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as info:
+        load_selection(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_selection_missing_key_and_optional_vectors(tmp_path):
+    path = tmp_path / "sel.json"
+    doc = {k: v for k, v in VALID_SELECTION.items() if k not in ("l_min", "l_maj")}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back = load_selection(path)
+    assert back.l_min is None and back.l_maj is None
+    assert back.selected.dtype == np.int64 and back.delta.dtype == np.float64
+    del doc["threshold"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match="missing key 'threshold'"):
+        load_selection(path)

@@ -126,15 +126,6 @@ def test_config_requires_autoencoder_shape():
         )
 
 
-def test_config_code_layer_must_be_last_encoder_layer():
-    with pytest.raises(ParameterError, match="code_layer_index"):
-        DsaeConfig(
-            encoder_layers=layers_from_widths([4, 3, 2], "tanh"),
-            decoder_layers=layers_from_widths([2, 4], "linear"),
-            code_layer_index=0,
-        )
-
-
 def test_config_rejects_negative_penalty():
     with pytest.raises(ParameterError):
         DsaeConfig(
