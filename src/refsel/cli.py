@@ -58,7 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="override the output directory")
         p.add_argument("--components", type=int, help="override the component count")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--parallelism", type=int, help="max concurrently trained components")
+        p.add_argument(
+            "--parallelism", type=int,
+            help="components trained together as one stacked model; "
+                 "outputs are byte-identical for every value",
+        )
 
     p_select = sub.add_parser("select", help="run the full selection pipeline")
     add_common(p_select)

@@ -10,8 +10,8 @@ selected above a quantile threshold of that difference distribution.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,10 +21,16 @@ from .exceptions import ComponentError, DataError, ParameterError, RefselError, 
 from .nn import DsaeConfig, DsaeModel, TrainingConfig, reconstruction_errors, train
 from .sampling import LabeledDataset, build_component_split, derive_seed
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Number of components, their shared architecture, and scheduling."""
+    """Number of components, their shared architecture, and scheduling.
+
+    ``parallelism`` is the number of components trained together as one
+    stacked model; results do not depend on it.
+    """
 
     n_components: int
     dsae: DsaeConfig
@@ -103,42 +109,62 @@ def component_seeds(master_seed: int, component_index: int):
     return derive_seed(base, 0), derive_seed(base, 1)
 
 
-def _run_component(data: LabeledDataset, cfg: EnsembleConfig, b: int):
-    sample_seed, model_seed = component_seeds(cfg.master_seed, b)
-    split = build_component_split(data, sample_seed)
-    model = DsaeModel.from_config(dataclasses.replace(cfg.dsae, seed=model_seed))
-    model, _ = train(model, split.train, cfg.training)
-    errors = reconstruction_errors(model, split.test)
-    return errors, split.test_labels
+def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, labels):
+    """Train components ``indices`` as one stacked model; fill their rows of q and labels.
+
+    Returns the components' last-epoch losses (empty with zero epochs).
+    """
+    seeds = [component_seeds(cfg.master_seed, b) for b in indices]
+    splits = [build_component_split(data, sample_seed) for sample_seed, _ in seeds]
+    model = DsaeModel.from_config(
+        dataclasses.replace(cfg.dsae, seed=tuple(model_seed for _, model_seed in seeds))
+    )
+    model, history = train(
+        model, data.X, cfg.training, rows=np.array([split.train_rows for split in splits])
+    )
+    errors = reconstruction_errors(model, data.X[np.array([split.test_rows for split in splits])])
+    q[:] = errors.reshape(q.shape)
+    labels[:] = np.concatenate([split.test_labels for split in splits])
+    return history[-len(indices):]
 
 
 def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig) -> REMatrix:
     """Train all components and stack their test-set reconstruction errors.
 
-    The result is bit-identical for any parallelism level: component seeds
-    depend only on (master_seed, component index) and rows are merged in
-    component order.
+    Components are trained ``cfg.parallelism`` at a time as one stacked
+    model, stack after stack. The result is bit-identical for any
+    parallelism level: component seeds depend only on (master_seed,
+    component index), each component keeps its own initialisation and
+    shuffle, and rows are written in component order.
+
+    A failure raises ComponentError naming, in the first failing stack, the
+    lowest-index component that is non-finite at the first failing step (or
+    the stack's first component for an error the whole stack shares).
     """
     if cfg.dsae.n_features != data.n_features:
         raise ShapeError(
             f"model expects {cfg.dsae.n_features} features, dataset has {data.n_features}"
         )
-
-    def run(b):
+    m = 2 * data.n_minority  # test rows per component
+    q = np.empty((m * cfg.n_components, data.n_features))
+    labels = np.empty(m * cfg.n_components, dtype=np.int64)
+    final_losses = []
+    for start in range(0, cfg.n_components, cfg.parallelism):
+        stack = range(start, min(start + cfg.parallelism, cfg.n_components))
+        block = slice(m * start, m * stack.stop)
         try:
-            return _run_component(data, cfg, b)
+            final_losses += _train_stack(data, cfg, stack, q[block], labels[block])
+        except ComponentError as exc:  # its index is a position in the stack
+            raise ComponentError(start + exc.component_index, exc.__cause__) from exc.__cause__
         except RefselError as exc:
-            raise ComponentError(b, exc) from exc
+            raise ComponentError(start, exc) from exc
 
-    indices = range(cfg.n_components)
-    if cfg.parallelism == 1:
-        results = [run(b) for b in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(run, indices))
-
-    q = np.vstack([errors for errors, _ in results])
-    labels = np.concatenate([labels for _, labels in results])
+    if final_losses:
+        logger.info(
+            "trained %d components in stacks of %d; last-epoch loss min %.6g, "
+            "median %.6g, max %.6g", cfg.n_components, min(cfg.parallelism, cfg.n_components),
+            min(final_losses), np.median(final_losses), max(final_losses),
+        )
     return REMatrix(Q=q, labels=labels)
 
 

@@ -5,6 +5,11 @@ connected layers. Training minimises the mean squared reconstruction error
 plus ``l1_penalty`` times the mean L1 norm of the innermost (code) layer
 activation, using mini-batch Adam. Everything is float64 and deterministic
 given the config seed.
+
+A config with a tuple of seeds describes a stack: that many models of the
+same architecture, held along a leading axis of every parameter and batch
+array and trained together, one ``np.matmul`` per layer for the whole stack.
+Each model in a stack gets the same bits as when built and trained alone.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DataError, NumericError, ParameterError, ShapeError
+from .exceptions import ComponentError, DataError, NumericError, ParameterError, ShapeError
 
 logger = logging.getLogger(__name__)
 
@@ -27,13 +32,12 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        # Split by sign to avoid overflow in exp for large |z|.
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # exp(-|z|) never overflows. Per element these are the operations of
+        # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so the bits
+        # match evaluating each branch on its own half.
+        e = np.exp(-np.abs(z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
     if name == "linear":
         return z
     raise ParameterError(f"unknown activation {name!r}")
@@ -75,7 +79,8 @@ class DsaeConfig:
     """Architecture of one autoencoder.
 
     The L1 penalty applies to the code, the activation of the last encoder
-    layer. ``seed`` drives both weight initialisation and the training shuffle.
+    layer. ``seed`` drives both weight initialisation and the training shuffle;
+    a tuple of seeds describes a stack of models, one per seed.
     """
 
     encoder_layers: tuple
@@ -90,6 +95,8 @@ class DsaeConfig:
             raise ParameterError("encoder and decoder each need at least one layer")
         if self.l1_penalty < 0:
             raise ParameterError("l1_penalty must be non-negative")
+        if self.seed == ():
+            raise ParameterError("a stack needs at least one seed")
         layers = self.layers
         for k in range(1, len(layers)):
             if layers[k].input_width != layers[k - 1].output_width:
@@ -115,6 +122,15 @@ class DsaeConfig:
     @property
     def code_width(self) -> int:
         return self.encoder_layers[-1].output_width
+
+    @property
+    def seeds(self) -> tuple:
+        return self.seed if isinstance(self.seed, tuple) else (self.seed,)
+
+    @property
+    def stack_shape(self) -> tuple:
+        """Leading shape of every parameter and batch array: (S,) for a stack, else ()."""
+        return (len(self.seed),) if isinstance(self.seed, tuple) else ()
 
 
 def layers_from_widths(widths, activations) -> tuple:
@@ -144,7 +160,8 @@ class DsaeModel:
     """Parameters of one autoencoder: per-layer weight matrices and biases.
 
     Weight matrix k has shape (output_width, input_width); layer output is
-    ``activation(x @ W.T + b)``.
+    ``activation(x @ W.T + b)``. A stack of S models prefixes every weight,
+    bias and batch shape with S.
     """
 
     weights: list
@@ -153,30 +170,37 @@ class DsaeModel:
 
     def __post_init__(self):
         layers = self.config.layers
+        lead = self.config.stack_shape
         if len(self.weights) != len(layers) or len(self.biases) != len(layers):
             raise ShapeError("parameter count does not match config layer count")
         for k, spec in enumerate(layers):
-            if self.weights[k].shape != (spec.output_width, spec.input_width):
+            if self.weights[k].shape != lead + (spec.output_width, spec.input_width):
                 raise ShapeError(
                     f"layer {k} weight shape {self.weights[k].shape} does not match "
-                    f"spec ({spec.output_width}, {spec.input_width})"
+                    f"spec {lead + (spec.output_width, spec.input_width)}"
                 )
-            if self.biases[k].shape != (spec.output_width,):
+            if self.biases[k].shape != lead + (spec.output_width,):
                 raise ShapeError(f"layer {k} bias shape mismatch")
             if not (np.isfinite(self.weights[k]).all() and np.isfinite(self.biases[k]).all()):
                 raise NumericError(f"non-finite parameters in layer {k}")
 
     @classmethod
     def from_config(cls, config: DsaeConfig) -> "DsaeModel":
-        """Initialise weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
-        rng = np.random.default_rng(config.seed)
+        """Initialise weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero.
+
+        Each model of a stack draws from its own seed's generator.
+        """
+        rngs = [np.random.default_rng(seed) for seed in config.seeds]
+        lead = config.stack_shape
         weights, biases = [], []
         for spec in config.layers:
             limit = np.sqrt(6.0 / (spec.input_width + spec.output_width))
+            shape = (spec.output_width, spec.input_width)
             weights.append(
-                rng.uniform(-limit, limit, size=(spec.output_width, spec.input_width))
+                np.array([rng.uniform(-limit, limit, size=shape) for rng in rngs])
+                .reshape(lead + shape)
             )
-            biases.append(np.zeros(spec.output_width))
+            biases.append(np.zeros(lead + (spec.output_width,)))
         return cls(weights=weights, biases=biases, config=config)
 
     def copy(self) -> "DsaeModel":
@@ -251,11 +275,12 @@ class AdamState:
 
 def _as_batch(model: DsaeModel, batch) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {x.shape}")
-    if x.shape[1] != model.config.n_features:
+    lead = model.config.stack_shape
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead:
+        raise ShapeError(f"batch must have shape {lead} + (rows, columns), got {x.shape}")
+    if x.shape[-1] != model.config.n_features:
         raise ShapeError(
-            f"batch has {x.shape[1]} columns, model expects {model.config.n_features}"
+            f"batch has {x.shape[-1]} columns, model expects {model.config.n_features}"
         )
     return x
 
@@ -271,7 +296,7 @@ def forward(model: DsaeModel, batch):
     pre_activations = []
     a = x
     for k, spec in enumerate(model.config.layers):
-        z = a @ model.weights[k].T + model.biases[k]
+        z = a @ model.weights[k].swapaxes(-1, -2) + model.biases[k][..., None, :]
         a = _activate(spec.activation, z)
         pre_activations.append(z)
         activations.append(a)
@@ -281,17 +306,27 @@ def forward(model: DsaeModel, batch):
 
 
 def _check_finite(cache: ForwardCache) -> None:
-    for k, a in enumerate(cache.activations[1:]):
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite activations in layer {k}")
+    """Raise NumericError naming the first layer with a non-finite activation.
+
+    In a stack the error names the lowest-index model that has one, as a
+    ComponentError carrying that model's position in the stack.
+    """
+    if all(np.isfinite(a).all() for a in cache.activations[1:]):
+        return
+    bad = np.array([~np.isfinite(a).all(axis=(-2, -1)) for a in cache.activations[1:]])
+    if bad.ndim == 1:
+        raise NumericError(f"non-finite activations in layer {bad.argmax()}")
+    s = int(bad.any(axis=0).argmax())
+    raise ComponentError(s, NumericError(f"non-finite activations in layer {bad[:, s].argmax()}"))
 
 
 def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: ForwardCache):
     _check_finite(cache)
     recon = cache.activations[-1]
     code = cache.activations[len(model.config.encoder_layers)]
-    mse = float(np.mean((x - recon) ** 2))
-    penalty = float(model.config.l1_penalty * np.mean(np.sum(np.abs(code), axis=1)))
+    lead = model.config.stack_shape
+    mse = np.mean(((x - recon) ** 2).reshape(lead + (-1,)), axis=-1)
+    penalty = model.config.l1_penalty * np.mean(np.sum(np.abs(code), axis=-1), axis=-1)
     return mse + penalty, mse, penalty
 
 
@@ -300,7 +335,7 @@ def loss_with_penalty(model: DsaeModel, batch):
 
     mse averages the squared error over every entry of the batch; the penalty
     is ``l1_penalty`` times the batch mean of the code rows' L1 norms, so both
-    terms are batch-size invariant.
+    terms are batch-size invariant. A stack gets one value per model.
     """
     x = _as_batch(model, batch)
     _, _, cache = forward(model, x)
@@ -314,7 +349,7 @@ def backward(model: DsaeModel, batch, cache: ForwardCache) -> Gradients:
     """
     x = _as_batch(model, batch)
     layers = model.config.layers
-    n, j = x.shape
+    n, j = x.shape[-2:]
     code_index = len(model.config.encoder_layers) - 1
 
     grad_w = [None] * len(layers)
@@ -330,8 +365,8 @@ def backward(model: DsaeModel, batch, cache: ForwardCache) -> Gradients:
         grad_z = grad_a * _activate_prime(
             layers[k].activation, cache.pre_activations[k], cache.activations[k + 1]
         )
-        grad_w[k] = grad_z.T @ cache.activations[k]
-        grad_b[k] = grad_z.sum(axis=0)
+        grad_w[k] = grad_z.swapaxes(-1, -2) @ cache.activations[k]
+        grad_b[k] = grad_z.sum(axis=-2)
         if k > 0:
             grad_a = grad_z @ model.weights[k]
 
@@ -359,13 +394,19 @@ def adam_step(model: DsaeModel, gradients: Gradients, state: AdamState, cfg: Tra
     return model, state
 
 
-def train(model: DsaeModel, train_matrix, cfg: TrainingConfig):
+def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
     """Train a copy of the model for cfg.epochs epochs of shuffled mini-batches.
 
+    ``rows`` gives each model of a stack its training rows of
+    ``train_matrix``, shape (S, n) for a stack of S; by default every model
+    trains on all rows. Batches are gathered from ``train_matrix`` step by
+    step, so the stack's training sets are never copied out whole.
+
     Returns (trained_model, history) where history holds one epoch-average
-    total loss per epoch. The input model is not mutated; runs are
-    bit-identical given the same (model, data, config) because the shuffle is
-    seeded from the model config seed.
+    total loss per epoch; for a stack, one per model per epoch, epoch-major,
+    so ``history[-S:]`` are the last epoch's losses. The input model is not
+    mutated; runs are bit-identical given the same (model, data, config)
+    because each model's shuffle is seeded from its config seed.
     """
     x = np.asarray(train_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -375,7 +416,13 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig):
             f"training matrix has {x.shape[1]} columns, model expects "
             f"{model.config.n_features}"
         )
-    n = x.shape[0]
+    lead = model.config.stack_shape
+    if rows is None:
+        rows = np.broadcast_to(np.arange(x.shape[0]), lead + x.shape[:1])
+    rows = np.asarray(rows)
+    if rows.shape[:-1] != lead or rows.shape[-1] == 0:
+        raise ShapeError(f"rows must have shape {lead} + (n,) with n >= 1, got {rows.shape}")
+    n = rows.shape[-1]
     batch_size = cfg.batch_size
     if batch_size > n:
         logger.warning("batch_size %d exceeds training set size %d; clamping", batch_size, n)
@@ -383,21 +430,21 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig):
 
     model = model.copy()
     state = AdamState.zeros(model)
-    rng = np.random.default_rng(model.config.seed)
+    rngs = [np.random.default_rng(seed) for seed in model.config.seeds]
     history = []
 
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = np.array([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
+        epoch_rows = np.take_along_axis(rows, order, axis=-1)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb = x[idx]
+            xb = x[epoch_rows[..., start : start + batch_size]]
             _, _, cache = forward(model, xb)
             total, _, _ = _loss_from_cache(model, xb, cache)
             grads = backward(model, xb, cache)
             adam_step(model, grads, state, cfg)
-            epoch_loss += total * len(idx)
-        history.append(epoch_loss / n)
+            epoch_loss += total * xb.shape[-2]
+        history.extend(np.ravel(epoch_loss / n))
 
     return model, history
 

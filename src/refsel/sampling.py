@@ -93,14 +93,25 @@ class LabeledDataset:
 class ComponentSplit:
     """One component's majority-only training set and balanced test set.
 
-    Test rows are ordered minority first, then the sampled majority rows;
-    consumers must not rely on that order for statistics.
+    Both are held as row indices into ``source``, the dataset's matrix, so a
+    split copies no data until ``train`` or ``test`` is read. Test rows are
+    ordered minority first, then the sampled majority rows; consumers must
+    not rely on that order for statistics.
     """
 
-    train: np.ndarray
-    test: np.ndarray
+    source: np.ndarray
+    train_rows: np.ndarray
+    test_rows: np.ndarray
     test_labels: np.ndarray
     component_seed: int
+
+    @property
+    def train(self) -> np.ndarray:
+        return self.source[self.train_rows]
+
+    @property
+    def test(self) -> np.ndarray:
+        return self.source[self.test_rows]
 
 
 def build_component_split(data: LabeledDataset, component_seed: int) -> ComponentSplit:
@@ -129,8 +140,9 @@ def build_component_split(data: LabeledDataset, component_seed: int) -> Componen
     test_idx = np.concatenate([minority_idx, test_maj])
     labels = np.concatenate([np.ones(n_min, dtype=np.int64), np.zeros(n_min, dtype=np.int64)])
     return ComponentSplit(
-        train=data.X[train_idx],
-        test=data.X[test_idx],
+        source=data.X,
+        train_rows=train_idx,
+        test_rows=test_idx,
         test_labels=labels,
         component_seed=component_seed,
     )

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from refsel import (
     AdamState,
@@ -26,7 +27,7 @@ from refsel import (
     train,
 )
 from refsel.exceptions import DataError, NumericError, ParameterError, ShapeError
-from refsel.nn import Gradients, layers_from_widths
+from refsel.nn import Gradients, _activate, layers_from_widths
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,30 @@ def test_forward_shape_mismatch():
     model = identity_model(2)
     with pytest.raises(ShapeError):
         forward(model, np.zeros((3, 5)))
+
+
+def masked_sigmoid(z):
+    """The sign-split sigmoid: each half evaluated on its own, under a mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+@settings(max_examples=300, deadline=None)
+@example(np.array([0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3, 800.0, -800.0,
+                   1e308, -1e308, np.inf, -np.inf, np.nan]))
+def test_sigmoid_bits_match_masked_formula(z):
+    expected = masked_sigmoid(z)
+    got = _activate("sigmoid", z)
+    assert got.shape == z.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
