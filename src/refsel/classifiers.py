@@ -19,13 +19,17 @@ from .exceptions import DataError, ShapeError
 logger = logging.getLogger(__name__)
 
 
-def _check_training_data(X, y):
+def _check_training_data(X, y, stackable=False):
+    """Validate (X, y) as floats and int64 labels.
+
+    With ``stackable``, X may also be a stack ``(T, n, d)`` of training sets
+    with labels ``(T, n)``; every set needs both classes.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ShapeError("X must be 2-D with one label per row")
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if X.ndim not in ((2, 3) if stackable else (2,)) or y.shape != X.shape[:-1]:
+        raise ShapeError("X must be 2-D (or a stack of 2-D sets) with one label per row")
+    if y.shape[-1] == 0 or np.any(y.min(axis=-1) == y.max(axis=-1)):
         raise DataError("training data must contain both classes")
     return X, y.astype(np.int64)
 
@@ -73,21 +77,26 @@ class GaussianNB:
 def logistic_grad(w, b, X, y, l2: float):
     """Gradients (grad_w, grad_b) of the penalised mean log-loss.
 
+    X may carry a leading stack axis: X ``(T, n, d)``, w ``(T, d)``, b and
+    grad_b ``(T,)``, y ``(T, n)``; the 2-D call is the stack-less case. Each
+    slice gets the same operations in the same order as a 2-D call on it
+    alone, so its bits do not depend on the stack.
+
     Gradient descent needs only these, so ``fit`` skips the loss. The
     ufuncs below give the same bits as ``np.clip`` and ``np.mean`` with less
     call overhead per iteration.
     """
-    n = X.shape[0]
-    z = X @ w + b
+    n = X.shape[-2]
+    z = (X @ w[..., None])[..., 0] + np.asarray(b)[..., None]
     p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
     residual = p - y
-    grad_w = X.T @ residual / n + l2 * w / n
-    grad_b = float(np.add.reduce(residual) / n)
+    grad_w = (X.swapaxes(-1, -2) @ residual[..., None])[..., 0] / n + l2 * w / n
+    grad_b = np.add.reduce(residual, axis=-1) / n
     return grad_w, grad_b
 
 
 def logistic_loss_grad(w, b, X, y, l2: float):
-    """Mean log-loss with L2 penalty on w only, and its gradients.
+    """Mean log-loss with L2 penalty on w only, and its gradients (2-D X only).
 
     loss = mean_i log(1 + exp(-sign_i * (X w + b))) + l2 * ||w||^2 / (2n)
     with sign_i = +-1 for y_i = 1/0.
@@ -99,7 +108,15 @@ def logistic_loss_grad(w, b, X, y, l2: float):
 
 
 class LogisticRegression:
-    """Binary logistic regression fit by full-batch gradient descent."""
+    """Binary logistic regression fit by full-batch gradient descent.
+
+    ``fit`` takes one training set ``(n, d)`` or a stack ``(T, n, d)`` of
+    equally shaped sets, fit side by side: ``coef_`` is then ``(T, d)`` and
+    ``intercept_`` and ``n_iter_`` are ``(T,)``. Each set converges on its
+    own test, stops updating at that iteration and keeps the bits it would
+    get fit alone. ``n_iter_`` counts the updates made; it equals
+    ``max_iter`` exactly for a set that did not converge.
+    """
 
     def __init__(self, l2: float = 1.0, learning_rate: float = 0.1,
                  max_iter: int = 1000, tol: float = 1e-8):
@@ -109,28 +126,44 @@ class LogisticRegression:
         self.tol = tol
 
     def fit(self, X, y):
-        X, y = _check_training_data(X, y)
+        X, y = _check_training_data(X, y, stackable=True)
+        stacked = X.ndim == 3
+        if not stacked:
+            X, y = X[None], y[None]
         yf = y.astype(np.float64)
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        converged = False
-        for _ in range(self.max_iter):
+        n_sets, _, n_features = X.shape
+        w = np.zeros((n_sets, n_features))
+        b = np.zeros(n_sets)
+        n_iter = np.full(n_sets, self.max_iter)
+        active = np.ones(n_sets, dtype=bool)
+        for iteration in range(self.max_iter):
             grad_w, grad_b = logistic_grad(w, b, X, yf, self.l2)
-            if abs(grad_b) < self.tol and np.abs(grad_w).max(initial=0.0) < self.tol:
-                converged = True
-                break
-            w -= self.learning_rate * grad_w
-            b -= self.learning_rate * grad_b
-        if not converged:
+            done = active & (np.abs(grad_b) < self.tol) & (
+                np.abs(grad_w).max(axis=-1, initial=0.0) < self.tol)
+            if done.any():
+                n_iter[done] = iteration
+                active &= ~done
+                if not active.any():
+                    break
+            np.subtract(w, self.learning_rate * grad_w, out=w, where=active[:, None])
+            np.subtract(b, self.learning_rate * grad_b, out=b, where=active)
+        unconverged = int(np.count_nonzero(n_iter == self.max_iter))
+        if unconverged:
             logger.warning(
-                "logistic regression did not converge within %d iterations", self.max_iter
+                "logistic regression: %d of %d fits did not converge within %d iterations",
+                unconverged, len(n_iter), self.max_iter,
             )
+        if not stacked:
+            w, b, n_iter = w[0], b[0], n_iter[0]
         self.coef_ = w
         self.intercept_ = b
+        self.n_iter_ = n_iter
         return self
 
     def predict_scores(self, X) -> np.ndarray:
-        z = np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
+        """Minority-class probability per row; a stack ``(T, m, d)`` after a stacked fit."""
+        X = np.asarray(X, dtype=np.float64)
+        z = (X @ self.coef_[..., None])[..., 0] + np.asarray(self.intercept_)[..., None]
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 

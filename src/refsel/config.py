@@ -8,6 +8,7 @@ The file uses flat key=value pairs grouped in sections: [data], optional
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,6 +122,12 @@ class RunConfig:
             raise UsageError(f"unknown classifiers {unknown}")
         if self.n_components < 1:
             raise UsageError("components must be >= 1")
+        # Q holds at least two rows per component, one float64 per feature.
+        if self.encoder_widths and 16 * self.n_components * self.encoder_widths[0] > sys.maxsize:
+            raise UsageError(
+                f"components = {self.n_components} gives an error matrix larger than "
+                "memory can address"
+            )
         if self.parallelism < 1:
             raise UsageError("parallelism must be >= 1")
         return self
@@ -172,7 +179,7 @@ def load_run_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from None
 
     for section in ("data", "ensemble", "output"):

@@ -41,7 +41,7 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -104,6 +104,24 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
         )
     y = np.array([1 if v == minority else 0 for v in raw_labels], dtype=np.int64)
     return LabeledDataset(X=X, y=y, feature_names=feature_names)
+
+
+def _decoded_lines(fh, path):
+    """The lines of text file ``fh``; bytes that are not UTF-8 raise ParseError.
+
+    The text reader decodes ahead in chunks, so its error cannot say which
+    line held the byte; the file is decoded again to find it.
+    """
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+            line = None  # the file changed after the failed read
+        except UnicodeDecodeError as first:
+            line = raw.count(b"\n", 0, first.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line) from None
 
 
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:

@@ -78,10 +78,6 @@ class REMatrix:
     def n_features(self) -> int:
         return self.Q.shape[1]
 
-    @property
-    def rows_per_class(self) -> int:
-        return self.n_rows // 2
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -146,8 +142,14 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig) -> REMatrix:
             f"model expects {cfg.dsae.n_features} features, dataset has {data.n_features}"
         )
     m = 2 * data.n_minority  # test rows per component
-    q = np.empty((m * cfg.n_components, data.n_features))
-    labels = np.empty(m * cfg.n_components, dtype=np.int64)
+    try:
+        q = np.empty((m * cfg.n_components, data.n_features))
+        labels = np.empty(m * cfg.n_components, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:  # ValueError: a byte size beyond the address space
+        raise ParameterError(
+            f"cannot allocate the {m * cfg.n_components} x {data.n_features} error matrix "
+            f"of {cfg.n_components} components: {exc}"
+        ) from None
     final_losses = []
     for start in range(0, cfg.n_components, cfg.parallelism):
         stack = range(start, min(start + cfg.parallelism, cfg.n_components))

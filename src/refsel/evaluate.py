@@ -22,6 +22,11 @@ from .sampling import LabeledDataset, derive_seed
 
 logger = logging.getLogger(__name__)
 
+# Logistic-regression training stacks stay within this many bytes, the
+# per-core L2 cache of the 2-core machine this was tuned on: one 5.6 MB
+# stack of 200-column trials fit 2.2x slower than the trials one by one.
+LR_STACK_BYTES = 2 * 1024 * 1024
+
 CLASSIFIERS = {
     "gaussian_nb": GaussianNB,
     "logistic_regression": LogisticRegression,
@@ -85,20 +90,28 @@ def stratified_split(data: LabeledDataset, protocol: EvalProtocol, seed: int = N
     """
     if seed is None:
         seed = protocol.split_seed
+    train_idx, test_idx = _split_rows(data.y, protocol.train_fraction, seed)
+    return (data.X[train_idx], data.y[train_idx]), (data.X[test_idx], data.y[test_idx])
+
+
+def _split_rows(y, train_fraction: float, seed: int):
+    """Row indices (train, test) of ``stratified_split``.
+
+    Their lengths depend only on the class sizes, so every seed gives
+    index arrays of the same two lengths.
+    """
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for c in (0, 1):
-        idx = np.flatnonzero(data.y == c)
+        idx = np.flatnonzero(y == c)
         if len(idx) < 2:
             raise DataError(f"class {c} has {len(idx)} observations; need at least 2 to split")
-        n_train = int(round(protocol.train_fraction * len(idx)))
+        n_train = int(round(train_fraction * len(idx)))
         n_train = min(max(n_train, 1), len(idx) - 1)
         perm = rng.permutation(idx)
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    return (data.X[train_idx], data.y[train_idx]), (data.X[test_idx], data.y[test_idx])
+    return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
 def chi2_scores(data: LabeledDataset) -> np.ndarray:
@@ -140,12 +153,45 @@ def _fit_and_score(name, X_train, y_train, X_test, y_test):
     return auroc(scores, y_test), sensitivity(scores, y_test)
 
 
+def _gather(cols_t, rows):
+    """``X[rows][:, cols]`` from the column set ``cols_t = X[:, cols].T`` (k, N).
+
+    2-D ``rows`` (t, n) give a (t, n, k) stack, one matrix per row of
+    ``rows``. Every matrix keeps the unit row stride that ``X[rows][:, cols]``
+    has: the BLAS kernels, and so the bits of each fit, depend on it.
+    """
+    return np.moveaxis(np.take(cols_t, rows, axis=1), 0, -1)
+
+
+def _score_logistic(cols_t, train_rows, test_rows, y_train, y_test):
+    """Fit and score logistic regression for every trial of one column set.
+
+    Trials are fit as stacks of at most LR_STACK_BYTES of training data, at
+    least one trial each. Returns the per-trial (auroc, sensitivity) pairs,
+    the total iteration count and the number of fits that converged.
+    """
+    n_trials, n_train = train_rows.shape
+    chunk = max(1, LR_STACK_BYTES // (n_train * cols_t.shape[0] * 8))
+    model = LogisticRegression()
+    results, iterations, converged = [], 0, 0
+    for start in range(0, n_trials, chunk):
+        block = slice(start, start + chunk)
+        model.fit(_gather(cols_t, train_rows[block]), y_train[block])
+        scores = model.predict_scores(_gather(cols_t, test_rows[block]))
+        results += [(auroc(s, y), sensitivity(s, y)) for s, y in zip(scores, y_test[block])]
+        iterations += int(model.n_iter_.sum())
+        converged += int(np.count_nonzero(model.n_iter_ < model.max_iter))
+    return results, iterations, converged
+
+
 def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) -> EvalReport:
     """Score each selection (plus the all-features baseline) on the held-out set.
 
     Trial t re-splits the rows with seed derive_seed(split_seed, t); one
     split per trial is shared by every classifier and selection. Selections
-    with no features are skipped with a warning row.
+    with no features are skipped with a warning row. Logistic regression is
+    fit for all trials of a column set at once (see ``_score_logistic``);
+    the other classifiers are fit per trial. Rows come out trial-major.
     """
     report = EvalReport()
     entries = [(None, np.arange(cds.n_features))]
@@ -168,27 +214,43 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
             )
         entries.append((dq, cols))
 
+    splits = [_split_rows(cds.y, protocol.train_fraction, derive_seed(protocol.split_seed, t))
+              for t in range(protocol.trials)]
+    train_rows = np.array([train for train, _ in splits])
+    test_rows = np.array([test for _, test in splits])
+    y_train, y_test = cds.y[train_rows], cds.y[test_rows]
+    per_trial = [n for n in protocol.classifiers if n != "logistic_regression"]
+    scores = {}  # (entry index, classifier) -> one (auroc, sensitivity) per trial
+    lr_fits = lr_iterations = lr_converged = 0
+    for e, (dq, cols) in enumerate(entries):
+        if len(cols) == 0:
+            logger.warning("selection at quantile %s is empty; skipping", dq)
+            continue
+        cols_t = cds.X[:, cols].T  # the one column gather of this set
+        if "logistic_regression" in protocol.classifiers:
+            scores[e, "logistic_regression"], iterations, converged = _score_logistic(
+                cols_t, train_rows, test_rows, y_train, y_test)
+            lr_fits += protocol.trials
+            lr_iterations += iterations
+            lr_converged += converged
+        if per_trial:
+            for t in range(protocol.trials):
+                xs_tr, xs_te = _gather(cols_t, train_rows[t]), _gather(cols_t, test_rows[t])
+                for name in per_trial:
+                    scores.setdefault((e, name), []).append(
+                        _fit_and_score(name, xs_tr, y_train[t], xs_te, y_test[t]))
+    if lr_fits:
+        logger.info("logistic regression: %d fits, %d iterations, %d converged",
+                    lr_fits, lr_iterations, lr_converged)
+
     for trial in range(protocol.trials):
-        (x_tr, y_tr), (x_te, y_te) = stratified_split(
-            cds, protocol, seed=derive_seed(protocol.split_seed, trial)
-        )
-        for dq, cols in entries:
-            if len(cols) == 0:
-                if trial == 0:
-                    logger.warning("selection at quantile %s is empty; skipping", dq)
-                for name in protocol.classifiers:
-                    report.rows.append(EvalRow(
-                        classifier=name, delta_quantile=dq, trial=trial,
-                        n_features=0, auroc=float("nan"), sensitivity=float("nan"),
-                        note="empty selection; skipped",
-                    ))
-                continue
-            xs_tr, xs_te = x_tr[:, cols], x_te[:, cols]
+        for e, (dq, cols) in enumerate(entries):
             for name in protocol.classifiers:
-                roc, sens = _fit_and_score(name, xs_tr, y_tr, xs_te, y_te)
+                roc, sens = scores[e, name][trial] if len(cols) else (float("nan"),) * 2
                 report.rows.append(EvalRow(
                     classifier=name, delta_quantile=dq, trial=trial,
                     n_features=len(cols), auroc=roc, sensitivity=sens,
+                    note="" if len(cols) else "empty selection; skipped",
                 ))
 
     for dq, cols in entries:

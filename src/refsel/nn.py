@@ -120,10 +120,6 @@ class DsaeConfig:
         return self.encoder_layers[0].input_width
 
     @property
-    def code_width(self) -> int:
-        return self.encoder_layers[-1].output_width
-
-    @property
     def seeds(self) -> tuple:
         return self.seed if isinstance(self.seed, tuple) else (self.seed,)
 

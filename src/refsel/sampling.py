@@ -103,7 +103,6 @@ class ComponentSplit:
     train_rows: np.ndarray
     test_rows: np.ndarray
     test_labels: np.ndarray
-    component_seed: int
 
     @property
     def train(self) -> np.ndarray:
@@ -144,5 +143,4 @@ def build_component_split(data: LabeledDataset, component_seed: int) -> Componen
         train_rows=train_idx,
         test_rows=test_idx,
         test_labels=labels,
-        component_seed=component_seed,
     )

@@ -153,6 +153,64 @@ def test_lr_fit_equals_loss_grad_reference_bit_for_bit(n_rows, n_features, zero)
     assert model.intercept_ == b
 
 
+def lr_stack(n_slices, n_rows, n_features, seed, zero_slices=()):
+    """A (T, n, d) stack of training sets with a different feature scale per
+    slice and a shuffled 3:1 label vector per slice."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_slices, n_rows, n_features))
+    x *= (0.2 + np.arange(n_slices))[:, None, None]
+    x[list(zero_slices)] = 0.0
+    labels = np.r_[np.zeros(n_rows - n_rows // 4, dtype=int), np.ones(n_rows // 4, dtype=int)]
+    y = np.array([rng.permutation(labels) for _ in range(n_slices)])
+    return x, y
+
+
+@pytest.mark.parametrize("n_slices, n_rows, n_features, zero_slices, tol", [
+    (3, 50, 1, (), 1e-8),       # d = 1
+    (2, 30, 80, (), 1e-8),      # wider than tall
+    (3, 40, 3, (1,), 1e-8),     # an all-zero slice converges early among running ones
+    (4, 60, 4, (), 1e-4),       # slices converge at different iterations, one never
+    (7, 20, 2, (0, 6), 1e-8),   # a longer stack, converged slices at both ends
+])
+def test_lr_stacked_fit_equals_reference_per_slice(n_slices, n_rows, n_features,
+                                                   zero_slices, tol):
+    x, y = lr_stack(n_slices, n_rows, n_features, seed=n_rows, zero_slices=zero_slices)
+    model = LogisticRegression(tol=tol).fit(x, y)
+    x_test = np.random.default_rng(1).normal(size=(n_slices, 9, n_features))
+    scores = model.predict_scores(x_test)
+    assert model.coef_.shape == (n_slices, n_features)
+    assert scores.shape == (n_slices, 9)
+    iterations = []
+    for t in range(n_slices):
+        w, b, n_iter = gradient_descent_reference(x[t], y[t], tol=tol)
+        assert np.array_equal(model.coef_[t], w)
+        assert model.intercept_[t] == b
+        assert model.n_iter_[t] == n_iter
+        z = x_test[t] @ w + b
+        assert np.array_equal(scores[t], 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))))
+        iterations.append(n_iter)
+    for t in zero_slices:
+        assert iterations[t] < 1000
+    if tol == 1e-4:
+        assert len(set(iterations)) == n_slices and max(iterations) == 1000
+
+
+def test_lr_stacked_fit_warns_once_with_the_unconverged_count(caplog):
+    x, y = lr_stack(4, 40, 3, seed=3, zero_slices=(2,))
+    with caplog.at_level("WARNING"):
+        model = LogisticRegression().fit(x, y)
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+    assert warnings == ["logistic regression: 3 of 4 fits did not converge within 1000 iterations"]
+    assert model.n_iter_.tolist()[2] < 1000
+
+
+def test_lr_stack_needs_both_classes_in_every_slice():
+    x, y = lr_stack(3, 20, 2, seed=4)
+    y[1] = 0
+    with pytest.raises(DataError, match="both classes"):
+        LogisticRegression().fit(x, y)
+
+
 def test_lr_deterministic():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(25, 2))

@@ -74,7 +74,7 @@ def test_config_parses_and_builds(run_dir):
     assert cfg.eval_classifiers == ("gaussian_nb", "knn")
     ens = cfg.ensemble_config()
     assert ens.dsae.n_features == 12
-    assert ens.dsae.code_width == 3
+    assert ens.dsae.encoder_layers[-1].output_width == 3
     assert str(out_dir) == cfg.output_dir
 
 
@@ -327,3 +327,45 @@ def test_numeric_failure_exits_3(run_dir, monkeypatch, capsys):
     cfg_path, _ = run_dir
     assert main(["select", "--config", str(cfg_path)]) == 3
     assert "component 2" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_1(run_dir, capsys):
+    cfg_path, _ = run_dir
+    cfg_path.write_bytes(cfg_path.read_bytes().replace(b"seed = 7", b"seed = 7\xff"))
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot parse config" in err
+    assert "Traceback" not in err
+
+
+def test_dataset_not_utf8_exits_2(run_dir, tmp_path, capsys):
+    cfg_path, _ = run_dir
+    data_path = tmp_path / "data.csv"
+    lines = data_path.read_bytes().split(b"\n")
+    lines[5] += b"\xff"
+    data_path.write_bytes(b"\n".join(lines))
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 6: not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_impossible_component_count_exits_1(run_dir, capsys):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("components = 3", "components = 99999999999999999999999"),
+                        encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "components = 99999999999999999999999" in err
+    assert "Traceback" not in err
+
+
+def test_unallocatable_error_matrix_exits_1(run_dir, capsys):
+    # 10**15 components pass the config check (Q is at least 2 rows each) but
+    # the 24 * 10**15 x 12 matrix (2 EiB) cannot be allocated.
+    cfg_path, _ = run_dir
+    assert main(["select", "--config", str(cfg_path), "--components", str(10**15)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot allocate the 24000000000000000 x 12 error matrix" in err
+    assert "Traceback" not in err

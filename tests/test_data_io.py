@@ -65,6 +65,17 @@ def test_load_csv_non_finite_cell_cites_line_and_column(tmp_path, cell):
         load_csv(path, label="target")
 
 
+@pytest.mark.parametrize("bad_line", [1, 2, 1500])
+def test_load_csv_invalid_utf8_cites_line(tmp_path, bad_line):
+    # Line 1500 lies beyond the first chunk the text reader decodes.
+    lines = [b"f1,f2,target"] + [b"%d,1,%s" % (i, b"ab"[i % 2:i % 2 + 1]) for i in range(2000)]
+    lines[bad_line - 1] += b"\xff"
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match=f"line {bad_line}: not UTF-8"):
+        load_csv(path, label="target")
+
+
 def test_load_csv_ragged_row_cites_line(tmp_path):
     path = write(tmp_path, "d.csv", "f1,f2,target\n1,2,a\n3,4\n5,6,b\n")
     with pytest.raises(ParseError, match="line 3"):

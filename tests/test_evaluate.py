@@ -6,6 +6,7 @@ import pytest
 from refsel import (
     EvalProtocol,
     LabeledDataset,
+    LogisticRegression,
     chi2_rank,
     chi2_scores,
     evaluate_selection,
@@ -13,7 +14,11 @@ from refsel import (
     select_features,
     stratified_split,
 )
+from refsel import evaluate as evaluate_module
+from refsel.evaluate import CLASSIFIERS
 from refsel.exceptions import DataError, ParameterError
+from refsel.metrics import auroc, sensitivity
+from refsel.sampling import derive_seed
 
 
 def dataset(n_majority, n_minority, n_features=2, seed=0):
@@ -225,3 +230,92 @@ def test_report_covers_every_combination():
     assert len(report.rows) == 2 * 3 * 2      # (baseline + one selection) x clf x trials
     assert len(report.summaries) == 2 * 3
     assert all(0.0 <= r.auroc <= 1.0 and 0.0 <= r.sensitivity <= 1.0 for r in report.rows)
+
+
+class ReferenceLogisticRegression:
+    """Logistic regression as fit on one training set at a time, before stacking."""
+
+    def fit(self, X, y):
+        n = X.shape[0]
+        yf = y.astype(np.float64)
+        w, b = np.zeros(X.shape[1]), 0.0
+        for _ in range(1000):
+            residual = 1.0 / (1.0 + np.exp(-np.clip(X @ w + b, -500, 500))) - yf
+            grad_w, grad_b = X.T @ residual / n + 1.0 * w / n, float(np.mean(residual))
+            if max(np.max(np.abs(grad_w), initial=0.0), abs(grad_b)) < 1e-8:
+                break
+            w -= 0.1 * grad_w
+            b -= 0.1 * grad_b
+        self.w, self.b = w, b
+        return self
+
+    def predict_scores(self, X):
+        return 1.0 / (1.0 + np.exp(-np.clip(X @ self.w + self.b, -500, 500)))
+
+
+def reference_rows(cds, entries, protocol):
+    """The per-trial evaluation loop as written before logistic regression was
+    stacked: split, slice the columns, fit and score each classifier."""
+    rows = []
+    for trial in range(protocol.trials):
+        (x_tr, y_tr), (x_te, y_te) = stratified_split(
+            cds, protocol, seed=derive_seed(protocol.split_seed, trial))
+        for dq, cols in entries:
+            for name in protocol.classifiers:
+                if len(cols) == 0:
+                    rows.append((name, dq, trial, 0, "nan", "nan", "empty selection; skipped"))
+                    continue
+                model = (ReferenceLogisticRegression() if name == "logistic_regression"
+                         else CLASSIFIERS[name]())
+                scores = model.fit(x_tr[:, cols], y_tr).predict_scores(x_te[:, cols])
+                rows.append((name, dq, trial, len(cols), repr(auroc(scores, y_te)),
+                             repr(sensitivity(scores, y_te)), ""))
+    return rows
+
+
+@pytest.mark.parametrize("cols", [[7], [19, 2, 11], list(range(20))])
+def test_gathered_stack_fits_like_sliced_trials(cols):
+    # Fits on the evaluation's gathered stack and on the per-trial slices
+    # X[rows][:, cols] must agree to the bit, so the layout must too.
+    cds, _ = planted_cds()
+    rows = np.array([evaluate_module._split_rows(cds.y, 0.7, seed)[0] for seed in range(3)])
+    stack = evaluate_module._gather(cds.X[:, cols].T, rows)
+    model = LogisticRegression().fit(stack, cds.y[rows])
+    for t, r in enumerate(rows):
+        sliced = cds.X[r][:, cols]
+        assert np.array_equal(evaluate_module._gather(cds.X[:, cols].T, r), sliced)
+        reference = ReferenceLogisticRegression().fit(sliced, cds.y[r])
+        assert np.array_equal(model.coef_[t], reference.w)
+        assert model.intercept_[t] == reference.b
+
+
+ALL_CLASSIFIERS = ("gaussian_nb", "logistic_regression", "knn")
+
+
+@pytest.mark.parametrize("classifiers, trials_per_stack", [
+    (ALL_CLASSIFIERS, None),
+    (ALL_CLASSIFIERS, 1),
+    (ALL_CLASSIFIERS, 2),
+    (("knn", "gaussian_nb"), None),
+    (("logistic_regression",), 2),
+])
+def test_evaluate_rows_equal_per_trial_reference(monkeypatch, classifiers, trials_per_stack):
+    cds, planted = planted_cds()
+    n_train = 210 + 28  # 70% of each class
+    if trials_per_stack is not None:
+        # Stacks of the 20-column baseline hold this many trials; 3 trials
+        # then split into stacks of 2 and 1.
+        monkeypatch.setattr(evaluate_module, "LR_STACK_BYTES",
+                            trials_per_stack * n_train * 20 * 8)
+    selections = [
+        (0.5, np.sort(planted)),
+        (0.9, np.array([7])),                  # one column
+        (0.95, np.array([], dtype=np.int64)),  # empty selection
+        (0.3, np.array([19, 2, 11])),          # unsorted columns
+    ]
+    protocol = EvalProtocol(trials=3, split_seed=17, classifiers=classifiers)
+    report = evaluate_selection(cds, selections, protocol)
+    got = [(r.classifier, r.delta_quantile, r.trial, r.n_features, repr(r.auroc),
+            repr(r.sensitivity), r.note) for r in report.rows]
+    entries = [(None, np.arange(20))] + selections
+    assert got == reference_rows(cds, entries, protocol)
