@@ -8,14 +8,15 @@ The file uses flat key=value pairs grouped in sections: [data], optional
 from __future__ import annotations
 
 import configparser
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import SCALING_MODES, DatasetSplitSpec
 from .ensemble import EnsembleConfig
-from .evaluate import CLASSIFIERS, EvalProtocol
-from .exceptions import UsageError
+from .evaluate import EvalProtocol
+from .exceptions import ParameterError, UsageError
 from .nn import DsaeConfig, TrainingConfig, layers_from_widths
 
 DEFAULT_DELTAS = (0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97, 0.99)
@@ -117,19 +118,17 @@ class RunConfig:
             raise UsageError("need at least one delta quantile")
         if self.estimator not in ("mean", "median"):
             raise UsageError(f"estimator must be mean or median, got {self.estimator!r}")
-        unknown = [c for c in self.eval_classifiers if c not in CLASSIFIERS]
-        if unknown:
-            raise UsageError(f"unknown classifiers {unknown}")
-        if self.n_components < 1:
-            raise UsageError("components must be >= 1")
         # Q holds at least two rows per component, one float64 per feature.
         if self.encoder_widths and 16 * self.n_components * self.encoder_widths[0] > sys.maxsize:
             raise UsageError(
                 f"components = {self.n_components} gives an error matrix larger than "
                 "memory can address"
             )
-        if self.parallelism < 1:
-            raise UsageError("parallelism must be >= 1")
+        try:
+            self.ensemble_config()
+            self.protocol()
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from None
         return self
 
     def dsae_config(self) -> DsaeConfig:
@@ -185,59 +184,53 @@ def load_run_config(path) -> RunConfig:
     for section in ("data", "ensemble", "output"):
         if not parser.has_section(section):
             raise UsageError(f"missing config section [{section}]")
+    get = functools.partial(_get, parser)
 
     split = None
     if parser.has_section("split"):
         split = DatasetSplitSpec(
-            fsds_fraction=_get(parser, "split", "fsds_fraction", 0.75, float),
-            split_seed=_get(parser, "split", "seed", 0, int),
-            minority_subsample=_get(parser, "split", "minority_subsample", None, int),
+            fsds_fraction=get("split", "fsds_fraction", 0.75, float),
+            split_seed=get("split", "seed", 0, int),
+            minority_subsample=get("split", "minority_subsample", None, int),
         )
 
-    def opt(section, key, default=_REQUIRED, cast=str):
-        if not parser.has_section(section):
-            if default is _REQUIRED:
-                raise UsageError(f"missing config section [{section}]")
-            return default
-        return _get(parser, section, key, default, cast)
-
     cfg = RunConfig(
-        data_format=opt("data", "format", "csv").lower(),
-        dataset_path=opt("data", "path", None),
-        label=opt("data", "label", None, _label),
-        minority_label=opt("data", "minority_label", None),
-        images_path=opt("data", "images", None),
-        labels_path=opt("data", "labels", None),
-        majority_class=opt("data", "majority_class", None, int),
-        minority_class=opt("data", "minority_class", None, int),
-        majority_count=opt("data", "majority_count", None, int),
-        minority_count=opt("data", "minority_count", None, int),
-        scaling_mode=opt("data", "scaling", "unit_interval").lower(),
+        data_format=get("data", "format", "csv").lower(),
+        dataset_path=get("data", "path", None),
+        label=get("data", "label", None, _label),
+        minority_label=get("data", "minority_label", None),
+        images_path=get("data", "images", None),
+        labels_path=get("data", "labels", None),
+        majority_class=get("data", "majority_class", None, int),
+        minority_class=get("data", "minority_class", None, int),
+        majority_count=get("data", "majority_count", None, int),
+        minority_count=get("data", "minority_count", None, int),
+        scaling_mode=get("data", "scaling", "unit_interval").lower(),
         split=split,
-        n_components=opt("ensemble", "components", 25, int),
-        master_seed=opt("ensemble", "master_seed", 0, int),
-        parallelism=opt("ensemble", "parallelism", 1, int),
-        encoder_widths=opt("ensemble", "encoder", cast=_widths),
-        encoder_activations=opt("ensemble", "encoder_activations", cast=_names),
-        decoder_widths=opt("ensemble", "decoder", cast=_widths),
-        decoder_activations=opt("ensemble", "decoder_activations", cast=_names),
-        l1_penalty=opt("ensemble", "l1_penalty", 1e-5, float),
+        n_components=get("ensemble", "components", 25, int),
+        master_seed=get("ensemble", "master_seed", 0, int),
+        parallelism=get("ensemble", "parallelism", 1, int),
+        encoder_widths=get("ensemble", "encoder", cast=_widths),
+        encoder_activations=get("ensemble", "encoder_activations", cast=_names),
+        decoder_widths=get("ensemble", "decoder", cast=_widths),
+        decoder_activations=get("ensemble", "decoder_activations", cast=_names),
+        l1_penalty=get("ensemble", "l1_penalty", 1e-5, float),
         training=TrainingConfig(
-            epochs=opt("training", "epochs", 100, int),
-            batch_size=opt("training", "batch_size", 100, int),
-            learning_rate=opt("training", "learning_rate", 0.001, float),
-            beta1=opt("training", "beta1", 0.9, float),
-            beta2=opt("training", "beta2", 0.999, float),
-            epsilon=opt("training", "epsilon", 1e-8, float),
+            epochs=get("training", "epochs", 100, int),
+            batch_size=get("training", "batch_size", 100, int),
+            learning_rate=get("training", "learning_rate", 0.001, float),
+            beta1=get("training", "beta1", 0.9, float),
+            beta2=get("training", "beta2", 0.999, float),
+            epsilon=get("training", "epsilon", 1e-8, float),
         ),
-        delta_quantiles=opt("selection", "deltas", DEFAULT_DELTAS, _floats),
-        estimator=opt("selection", "estimator", "mean").lower(),
-        eval_train_fraction=opt("eval", "train_fraction", 0.7, float),
-        eval_seed=opt("eval", "seed", 0, int),
-        eval_classifiers=opt(
+        delta_quantiles=get("selection", "deltas", DEFAULT_DELTAS, _floats),
+        estimator=get("selection", "estimator", "mean").lower(),
+        eval_train_fraction=get("eval", "train_fraction", 0.7, float),
+        eval_seed=get("eval", "seed", 0, int),
+        eval_classifiers=get(
             "eval", "classifiers", ("gaussian_nb", "logistic_regression", "knn"), _strings
         ),
-        eval_trials=opt("eval", "trials", 5, int),
-        output_dir=opt("output", "directory"),
+        eval_trials=get("eval", "trials", 5, int),
+        output_dir=get("output", "directory"),
     )
     return cfg.validate()

@@ -22,7 +22,7 @@ import numpy as np
 from .ensemble import REMatrix, SelectionResult
 from .evaluate import EvalReport
 from .exceptions import DataError, FormatError, ParameterError, ParseError
-from .sampling import LabeledDataset
+from .sampling import LabeledDataset, stratified_rows
 
 SCALING_MODES = ("unit_interval", "symmetric_unit")
 
@@ -41,7 +41,7 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_decoded_lines(fh, path))
+        reader = _records(csv.reader(_decoded_lines(fh, path)))
         try:
             header = next(reader)
         except StopIteration:
@@ -122,6 +122,14 @@ def _decoded_lines(fh, path):
         except UnicodeDecodeError as first:
             line = raw.count(b"\n", 0, first.start) + 1
         raise ParseError(f"not UTF-8: {exc.reason}", line=line) from None
+
+
+def _records(reader):
+    """The records of csv ``reader``; one it cannot split raises ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:
@@ -240,19 +248,8 @@ def build_fsds_cds(data: LabeledDataset, spec: DatasetSplitSpec):
         keep = np.sort(np.concatenate([np.flatnonzero(data.y == 0), keep_min]))
         data = data.subset(keep)
 
-    fsds_idx, cds_idx = [], []
-    for c in (0, 1):
-        idx = np.flatnonzero(data.y == c)
-        if len(idx) < 2:
-            raise DataError(f"class {c} has {len(idx)} rows; need at least 2 to split")
-        n_fs = int(round(spec.fsds_fraction * len(idx)))
-        n_fs = min(max(n_fs, 1), len(idx) - 1)
-        perm = rng.permutation(idx)
-        fsds_idx.append(perm[:n_fs])
-        cds_idx.append(perm[n_fs:])
-    fsds = data.subset(np.sort(np.concatenate(fsds_idx)))
-    cds = data.subset(np.sort(np.concatenate(cds_idx)))
-    return fsds, cds
+    fsds_idx, cds_idx = stratified_rows(data.y, spec.fsds_fraction, rng)
+    return data.subset(np.sort(fsds_idx)), data.subset(np.sort(cds_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .classifiers import GaussianNB, KNeighbors, LogisticRegression
 from .ensemble import SelectionResult
 from .exceptions import DataError, ParameterError
 from .metrics import auroc, sensitivity
-from .sampling import LabeledDataset, derive_seed
+from .sampling import LabeledDataset, derive_seed, stratified_rows
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +50,8 @@ class EvalProtocol:
         unknown = [c for c in self.classifiers if c not in CLASSIFIERS]
         if unknown:
             raise ParameterError(f"unknown classifiers {unknown}; choose from {sorted(CLASSIFIERS)}")
+        if len(set(self.classifiers)) != len(self.classifiers):
+            raise ParameterError(f"classifiers {list(self.classifiers)} name one twice")
 
 
 @dataclass
@@ -84,34 +86,13 @@ class EvalReport:
 def stratified_split(data: LabeledDataset, protocol: EvalProtocol, seed: int = None):
     """Class-stratified row split into ((X_train, y_train), (X_test, y_test)).
 
-    Each class contributes round(train_fraction * class size) rows to the
-    training side (at least one row stays on each side). Deterministic given
-    the seed, which defaults to protocol.split_seed.
+    The rows are those of ``stratified_rows`` at the protocol's training
+    fraction and ``seed``, which defaults to protocol.split_seed.
     """
     if seed is None:
         seed = protocol.split_seed
-    train_idx, test_idx = _split_rows(data.y, protocol.train_fraction, seed)
+    train_idx, test_idx = stratified_rows(data.y, protocol.train_fraction, seed)
     return (data.X[train_idx], data.y[train_idx]), (data.X[test_idx], data.y[test_idx])
-
-
-def _split_rows(y, train_fraction: float, seed: int):
-    """Row indices (train, test) of ``stratified_split``.
-
-    Their lengths depend only on the class sizes, so every seed gives
-    index arrays of the same two lengths.
-    """
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for c in (0, 1):
-        idx = np.flatnonzero(y == c)
-        if len(idx) < 2:
-            raise DataError(f"class {c} has {len(idx)} observations; need at least 2 to split")
-        n_train = int(round(train_fraction * len(idx)))
-        n_train = min(max(n_train, 1), len(idx) - 1)
-        perm = rng.permutation(idx)
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
 def chi2_scores(data: LabeledDataset) -> np.ndarray:
@@ -191,7 +172,8 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     split per trial is shared by every classifier and selection. Selections
     with no features are skipped with a warning row. Logistic regression is
     fit for all trials of a column set at once (see ``_score_logistic``);
-    the other classifiers are fit per trial. Rows come out trial-major.
+    the other classifiers are fit per trial. Rows come out trial-major; each
+    summary is the mean and std of its own entry's trials.
     """
     report = EvalReport()
     entries = [(None, np.arange(cds.n_features))]
@@ -214,7 +196,7 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
             )
         entries.append((dq, cols))
 
-    splits = [_split_rows(cds.y, protocol.train_fraction, derive_seed(protocol.split_seed, t))
+    splits = [stratified_rows(cds.y, protocol.train_fraction, derive_seed(protocol.split_seed, t))
               for t in range(protocol.trials)]
     train_rows = np.array([train for train, _ in splits])
     test_rows = np.array([test for _, test in splits])
@@ -253,13 +235,10 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
                     note="" if len(cols) else "empty selection; skipped",
                 ))
 
-    for dq, cols in entries:
+    ddof = 1 if protocol.trials > 1 else 0
+    for e, (dq, cols) in enumerate(entries):
         for name in protocol.classifiers:
-            group = [r for r in report.rows
-                     if r.classifier == name and _same_quantile(r.delta_quantile, dq)]
-            rocs = np.array([r.auroc for r in group])
-            sens = np.array([r.sensitivity for r in group])
-            if len(cols) == 0 or np.isnan(rocs).all():
+            if len(cols) == 0:
                 report.summaries.append(EvalSummary(
                     classifier=name, delta_quantile=dq, n_features=0,
                     auroc_mean=float("nan"), auroc_std=float("nan"),
@@ -267,16 +246,10 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
                     note="empty selection; skipped",
                 ))
                 continue
-            ddof = 1 if len(group) > 1 else 0
+            rocs, sens = (np.array(v) for v in zip(*scores[e, name]))
             report.summaries.append(EvalSummary(
                 classifier=name, delta_quantile=dq, n_features=len(cols),
                 auroc_mean=float(rocs.mean()), auroc_std=float(rocs.std(ddof=ddof)),
                 sensitivity_mean=float(sens.mean()), sensitivity_std=float(sens.std(ddof=ddof)),
             ))
     return report
-
-
-def _same_quantile(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b

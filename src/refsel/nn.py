@@ -93,8 +93,8 @@ class DsaeConfig:
         object.__setattr__(self, "decoder_layers", tuple(self.decoder_layers))
         if not self.encoder_layers or not self.decoder_layers:
             raise ParameterError("encoder and decoder each need at least one layer")
-        if self.l1_penalty < 0:
-            raise ParameterError("l1_penalty must be non-negative")
+        if not 0.0 <= self.l1_penalty < np.inf:
+            raise ParameterError("l1_penalty must be non-negative and finite")
         if self.seed == ():
             raise ParameterError("a stack needs at least one seed")
         layers = self.layers
@@ -239,14 +239,14 @@ class TrainingConfig:
             raise ParameterError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ParameterError("learning_rate must be positive and finite")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ParameterError("epsilon must be positive and finite")
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each ensemble component trains on majority-class rows only and is tested on
 a balanced set: every minority row plus an equal number of majority rows
 drawn uniformly without replacement. Draws are independent across
 components, so the same majority row may appear in several components' test
-sets.
+sets. The class-stratified split used to carve out the held-out dataset and
+to split it in every evaluation trial also lives here.
 """
 
 from __future__ import annotations
@@ -87,6 +88,28 @@ class LabeledDataset:
         return LabeledDataset(
             X=self.X[row_indices], y=self.y[row_indices], feature_names=self.feature_names
         )
+
+
+def stratified_rows(y, train_fraction: float, seed):
+    """Class-stratified row indices (train, test), class 0 rows first.
+
+    Each class contributes round(train_fraction * class size) rows to the
+    training side, at least one row staying on each side, so the lengths
+    depend only on the class sizes. ``seed`` is an int or a Generator, whose
+    stream then continues (``default_rng`` returns a Generator unchanged).
+    """
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for c in (0, 1):
+        idx = np.flatnonzero(y == c)
+        if len(idx) < 2:
+            raise DataError(f"class {c} has {len(idx)} rows; need at least 2 to split")
+        n_train = int(round(train_fraction * len(idx)))
+        n_train = min(max(n_train, 1), len(idx) - 1)
+        perm = rng.permutation(idx)
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
+    return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
 @dataclass

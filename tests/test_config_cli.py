@@ -369,3 +369,26 @@ def test_unallocatable_error_matrix_exits_1(run_dir, capsys):
     err = capsys.readouterr().err
     assert "cannot allocate the 24000000000000000 x 12 error matrix" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("trials = 2", "trials = 0"),
+    ("train_fraction = 0.7", "train_fraction = 1.5"),
+    ("classifiers = gaussian_nb,knn", "classifiers = knn,knn"),
+    ("batch_size = 16", "batch_size = 16\nlearning_rate = nan"),
+    ("batch_size = 16", "batch_size = 16\nepsilon = nan"),
+    ("l1_penalty = 1e-5", "l1_penalty = inf"),
+], ids=["trials", "train_fraction", "classifiers", "learning_rate", "epsilon", "l1_penalty"])
+def test_bad_config_exits_1_before_training(run_dir, monkeypatch, capsys, old, new):
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble was trained before the config was rejected")
+
+    monkeypatch.setattr(cli_module, "run_ensemble", never)
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    assert old in text
+    cfg_path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err

@@ -76,6 +76,14 @@ def test_load_csv_invalid_utf8_cites_line(tmp_path, bad_line):
         load_csv(path, label="target")
 
 
+def test_load_csv_unclosed_quote_cites_line(tmp_path):
+    # A stray quote runs its field past the csv module's field size limit.
+    text = 'f1,f2,target\n1,2,a\n"3,4,b\n' + "5,6,a\n" * 30000
+    path = write(tmp_path, "d.csv", text)
+    with pytest.raises(ParseError, match=r"line \d+: field larger than field limit"):
+        load_csv(path, label="target")
+
+
 def test_load_csv_ragged_row_cites_line(tmp_path):
     path = write(tmp_path, "d.csv", "f1,f2,target\n1,2,a\n3,4\n5,6,b\n")
     with pytest.raises(ParseError, match="line 3"):

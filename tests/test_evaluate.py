@@ -18,7 +18,7 @@ from refsel import evaluate as evaluate_module
 from refsel.evaluate import CLASSIFIERS
 from refsel.exceptions import DataError, ParameterError
 from refsel.metrics import auroc, sensitivity
-from refsel.sampling import derive_seed
+from refsel.sampling import derive_seed, stratified_rows
 
 
 def dataset(n_majority, n_minority, n_features=2, seed=0):
@@ -69,6 +69,10 @@ def test_protocol_validation():
         EvalProtocol(trials=0)
     with pytest.raises(ParameterError):
         EvalProtocol(classifiers=("svm",))
+    # Two copies would share one per-trial score list, so trial 1 would
+    # report trial 0's second score.
+    with pytest.raises(ParameterError, match="twice"):
+        EvalProtocol(classifiers=("knn", "gaussian_nb", "knn"))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ def test_gathered_stack_fits_like_sliced_trials(cols):
     # Fits on the evaluation's gathered stack and on the per-trial slices
     # X[rows][:, cols] must agree to the bit, so the layout must too.
     cds, _ = planted_cds()
-    rows = np.array([evaluate_module._split_rows(cds.y, 0.7, seed)[0] for seed in range(3)])
+    rows = np.array([stratified_rows(cds.y, 0.7, seed)[0] for seed in range(3)])
     stack = evaluate_module._gather(cds.X[:, cols].T, rows)
     model = LogisticRegression().fit(stack, cds.y[rows])
     for t, r in enumerate(rows):
@@ -319,3 +323,36 @@ def test_evaluate_rows_equal_per_trial_reference(monkeypatch, classifiers, trial
             repr(r.sensitivity), r.note) for r in report.rows]
     entries = [(None, np.arange(20))] + selections
     assert got == reference_rows(cds, entries, protocol)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_summaries_are_each_entrys_own_trials(trials):
+    # Two entries share level 0.9 with different columns; each summary must
+    # be the mean and std of its own entry's rows alone (ddof 0 for one
+    # trial), and the empty selection gets a NaN summary.
+    cds, _ = planted_cds()
+    protocol = EvalProtocol(trials=trials, split_seed=5)
+    entries = [(0.9, [0, 1, 2]), (0.9, [5, 11]), (0.95, [])]
+    report = evaluate_selection(cds, entries, protocol)
+    ddof = 1 if trials > 1 else 0
+    expected = []
+    for dq, cols in [(None, list(range(20)))] + entries:
+        # An entry's rows do not depend on the other entries, so score it alone.
+        alone = [] if dq is None else [(dq, cols)]
+        rows = evaluate_selection(cds, alone, protocol).rows
+        for name in protocol.classifiers:
+            own = [r for r in rows if r.classifier == name and r.delta_quantile == dq]
+            assert len(own) == trials
+            rocs = np.array([r.auroc for r in own])
+            sens = np.array([r.sensitivity for r in own])
+            if not cols:
+                expected.append((name, dq, 0) + ("nan",) * 4 + ("empty selection; skipped",))
+                continue
+            expected.append((name, dq, len(cols), repr(float(np.mean(rocs))),
+                             repr(float(np.std(rocs, ddof=ddof))),
+                             repr(float(np.mean(sens))),
+                             repr(float(np.std(sens, ddof=ddof))), ""))
+    got = [(s.classifier, s.delta_quantile, s.n_features, repr(s.auroc_mean),
+            repr(s.auroc_std), repr(s.sensitivity_mean), repr(s.sensitivity_std), s.note)
+           for s in report.summaries]
+    assert got == expected

@@ -136,6 +136,18 @@ def test_config_rejects_negative_penalty():
         )
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: TrainingConfig(learning_rate=v),
+    lambda v: TrainingConfig(epsilon=v),
+    lambda v: DsaeConfig(encoder_layers=layers_from_widths([2, 2], "tanh"),
+                         decoder_layers=layers_from_widths([2, 2], "linear"), l1_penalty=v),
+], ids=["learning_rate", "epsilon", "l1_penalty"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_hyperparameter(make, value):
+    with pytest.raises(ParameterError, match="finite"):
+        make(value)
+
+
 def test_model_init_is_deterministic_and_bounded():
     cfg = DsaeConfig(
         encoder_layers=layers_from_widths([6, 3], "tanh"),
