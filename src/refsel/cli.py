@@ -1,8 +1,9 @@
 """Command-line surface: select, evaluate, benchmark, export-q.
 
-Every run writes a manifest echoing the resolved configuration and seeds,
-so any output can be reproduced byte-for-byte from its manifest. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Every run writes a manifest echoing the resolved configuration; those of the
+commands that train also list the component seeds. Any output can thus be
+reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -152,14 +153,12 @@ def _train(cfg: RunConfig):
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
-    doc = {
-        "command": command,
-        "version": __version__,
-        "config": cfg.to_manifest(),
-        "component_seeds": [
+    """Write manifest.json; the commands that train also list every component's seeds."""
+    doc = {"command": command, "version": __version__, "config": cfg.to_manifest()}
+    if command != "evaluate":
+        doc["component_seeds"] = [
             list(component_seeds(cfg.master_seed, b)) for b in range(cfg.n_components)
-        ],
-    }
+        ]
     if extra:
         doc.update(extra)
     save_json(doc, Path(cfg.output_dir) / "manifest.json")

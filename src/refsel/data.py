@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import tempfile
@@ -332,8 +333,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_json(obj, path) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError instead of writing a bare token."""
     with open_atomic(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def selection_to_dict(result: SelectionResult) -> dict:
@@ -361,6 +363,8 @@ def _field(doc: dict, key: str, kinds=(int, float), dtype=None):
     if not isinstance(items, list) or not all(type(v) in kinds for v in items):
         what = "a number" if dtype is None else f"a list of {'/'.join(k.__name__ for k in kinds)}"
         raise ValueError(f"{key!r} must be {what}")
+    if not all(map(math.isfinite, items)):
+        raise ValueError(f"{key!r} must be finite")
     return float(items[0]) if dtype is None else np.array(items, dtype=dtype)
 
 
@@ -407,10 +411,12 @@ def report_summary_table(report: EvalReport):
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "rows": [vars(r).copy() for r in report.rows],
-        "summaries": [vars(s).copy() for s in report.summaries],
-    }
+    """Rows and summaries as dicts; NaN, the score of a skipped selection, becomes None."""
+    def plain(item):
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in vars(item).items()}
+    return {"rows": [plain(r) for r in report.rows],
+            "summaries": [plain(s) for s in report.summaries]}
 
 
 def export_q_csv(q: REMatrix, path, feature_names=None) -> None:

@@ -17,7 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import ComponentError, DataError, ParameterError, RefselError, ShapeError
+from .exceptions import (
+    ComponentError, DataError, NumericError, ParameterError, RefselError, ShapeError,
+)
 from .nn import DsaeConfig, DsaeModel, TrainingConfig, reconstruction_errors, train
 from .sampling import LabeledDataset, build_component_split, derive_seed
 
@@ -233,11 +235,13 @@ def select_at_thresholds(q: REMatrix, delta_quantiles, estimator: str = "mean"):
     """One SelectionResult per quantile level, all from the same class means.
 
     Results are nested: a higher quantile level never selects a feature a
-    lower one rejected.
+    lower one rejected. Class errors that overflow raise NumericError.
     """
     delta_quantiles = list(delta_quantiles)
     if not delta_quantiles:
         raise ParameterError("need at least one quantile level")
     l_min, l_maj = class_mean_re(q, estimator=estimator)
+    if not (np.isfinite(l_min).all() and np.isfinite(l_maj).all()):
+        raise NumericError("class reconstruction errors overflow float64")
     delta = delta_re(l_min, l_maj)
     return [select_features(delta, dq, l_min=l_min, l_maj=l_maj) for dq in delta_quantiles]

@@ -6,6 +6,10 @@ plus ``l1_penalty`` times the mean L1 norm of the innermost (code) layer
 activation, using mini-batch Adam. Everything is float64 and deterministic
 given the config seed.
 
+A model's parameters live in one buffer, each layer's W and then b end to
+end; gradients and Adam moments are buffers of the same shape, so an Adam step
+is one element-wise pass over the whole model.
+
 A config with a tuple of seeds describes a stack: that many models of the
 same architecture, held along a leading axis of every parameter and batch
 array and trained together, one ``np.matmul`` per layer for the whole stack.
@@ -128,6 +132,11 @@ class DsaeConfig:
         """Leading shape of every parameter and batch array: (S,) for a stack, else ()."""
         return (len(self.seed),) if isinstance(self.seed, tuple) else ()
 
+    @property
+    def n_params(self) -> int:
+        """Weights and biases of one model: the last axis of a parameter buffer."""
+        return sum(spec.output_width * (spec.input_width + 1) for spec in self.layers)
+
 
 def layers_from_widths(widths, activations) -> tuple:
     """Build a LayerSpec chain from a width list (n+1 widths -> n layers).
@@ -151,34 +160,43 @@ def layers_from_widths(widths, activations) -> tuple:
     )
 
 
-@dataclass
-class DsaeModel:
-    """Parameters of one autoencoder: per-layer weight matrices and biases.
+def _layer_views(config: DsaeConfig, buffer: np.ndarray):
+    """(weights, biases): per-layer views, each W and then b along the buffer's last axis."""
+    lead = buffer.shape[:-1]
+    weights, biases, start = [], [], 0
+    for spec in config.layers:
+        o, i = spec.output_width, spec.input_width
+        weights.append(buffer[..., start : start + o * i].reshape(lead + (o, i)))
+        biases.append(buffer[..., start + o * i : start + o * (i + 1)])
+        start += o * (i + 1)
+    return tuple(weights), tuple(biases)
 
-    Weight matrix k has shape (output_width, input_width); layer output is
-    ``activation(x @ W.T + b)``. A stack of S models prefixes every weight,
-    bias and batch shape with S.
+
+@dataclass(frozen=True)
+class DsaeModel:
+    """Parameters of one autoencoder, held in one buffer of shape (n_params,).
+
+    ``weights[k]``, shape (output_width, input_width), and ``biases[k]`` are
+    views into ``params`` (see :func:`_layer_views`): writing through them
+    changes ``params``, and the attributes themselves cannot be reassigned.
+    Layer output is ``activation(x @ W.T + b)``. A stack of S models prefixes
+    the buffer, every weight, bias and batch shape with S.
     """
 
-    weights: list
-    biases: list
+    params: np.ndarray
     config: DsaeConfig
 
     def __post_init__(self):
-        layers = self.config.layers
-        lead = self.config.stack_shape
-        if len(self.weights) != len(layers) or len(self.biases) != len(layers):
-            raise ShapeError("parameter count does not match config layer count")
-        for k, spec in enumerate(layers):
-            if self.weights[k].shape != lead + (spec.output_width, spec.input_width):
-                raise ShapeError(
-                    f"layer {k} weight shape {self.weights[k].shape} does not match "
-                    f"spec {lead + (spec.output_width, spec.input_width)}"
-                )
-            if self.biases[k].shape != lead + (spec.output_width,):
-                raise ShapeError(f"layer {k} bias shape mismatch")
-            if not (np.isfinite(self.weights[k]).all() and np.isfinite(self.biases[k]).all()):
-                raise NumericError(f"non-finite parameters in layer {k}")
+        shape = self.config.stack_shape + (self.config.n_params,)
+        if self.params.shape != shape:
+            raise ShapeError(f"parameter shape {self.params.shape} does not match config {shape}")
+        weights, biases = _layer_views(self.config, self.params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        if not np.isfinite(self.params).all():
+            k = next(k for k, (w, b) in enumerate(zip(weights, biases))
+                     if not (np.isfinite(w).all() and np.isfinite(b).all()))
+            raise NumericError(f"non-finite parameters in layer {k}")
 
     @classmethod
     def from_config(cls, config: DsaeConfig) -> "DsaeModel":
@@ -187,24 +205,14 @@ class DsaeModel:
         Each model of a stack draws from its own seed's generator.
         """
         rngs = [np.random.default_rng(seed) for seed in config.seeds]
-        lead = config.stack_shape
-        weights, biases = [], []
-        for spec in config.layers:
+        model = cls(params=np.zeros(config.stack_shape + (config.n_params,)), config=config)
+        for spec, w in zip(config.layers, model.weights):
             limit = np.sqrt(6.0 / (spec.input_width + spec.output_width))
-            shape = (spec.output_width, spec.input_width)
-            weights.append(
-                np.array([rng.uniform(-limit, limit, size=shape) for rng in rngs])
-                .reshape(lead + shape)
-            )
-            biases.append(np.zeros(lead + (spec.output_width,)))
-        return cls(weights=weights, biases=biases, config=config)
+            w[...] = np.array([rng.uniform(-limit, limit, size=w.shape[-2:]) for rng in rngs])
+        return model
 
     def copy(self) -> "DsaeModel":
-        return DsaeModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            config=self.config,
-        )
+        return DsaeModel(params=self.params.copy(), config=self.config)
 
 
 @dataclass
@@ -217,12 +225,6 @@ class ForwardCache:
 
     pre_activations: list
     activations: list
-
-
-@dataclass
-class Gradients:
-    weights: list
-    biases: list
 
 
 @dataclass(frozen=True)
@@ -251,22 +253,15 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the model parameters."""
+    """First and second moment estimates, each shaped like the model's ``params``."""
 
-    m_weights: list
-    v_weights: list
-    m_biases: list
-    v_biases: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, model: DsaeModel) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(w) for w in model.weights],
-            v_weights=[np.zeros_like(w) for w in model.weights],
-            m_biases=[np.zeros_like(b) for b in model.biases],
-            v_biases=[np.zeros_like(b) for b in model.biases],
-        )
+        return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
 def _as_batch(model: DsaeModel, batch) -> np.ndarray:
@@ -338,18 +333,19 @@ def loss_with_penalty(model: DsaeModel, batch):
     return _loss_from_cache(model, x, cache)
 
 
-def backward(model: DsaeModel, batch, cache: ForwardCache) -> Gradients:
-    """Gradients of loss_with_penalty w.r.t. every weight and bias.
+def backward(model: DsaeModel, batch, cache: ForwardCache) -> np.ndarray:
+    """Gradient of loss_with_penalty, shaped and laid out like ``model.params``.
 
-    The L1 term uses sign(h) with sign(0) = 0.
+    Each layer's gradients are written into their views of that array. The L1
+    term uses sign(h) with sign(0) = 0.
     """
     x = _as_batch(model, batch)
     layers = model.config.layers
     n, j = x.shape[-2:]
     code_index = len(model.config.encoder_layers) - 1
 
-    grad_w = [None] * len(layers)
-    grad_b = [None] * len(layers)
+    grads = np.empty_like(model.params)
+    grad_w, grad_b = _layer_views(model.config, grads)
 
     # d(mse)/d(reconstruction); mse is the grand mean over n*j entries.
     grad_a = 2.0 * (cache.activations[-1] - x) / (n * j)
@@ -361,32 +357,25 @@ def backward(model: DsaeModel, batch, cache: ForwardCache) -> Gradients:
         grad_z = grad_a * _activate_prime(
             layers[k].activation, cache.pre_activations[k], cache.activations[k + 1]
         )
-        grad_w[k] = grad_z.swapaxes(-1, -2) @ cache.activations[k]
-        grad_b[k] = grad_z.sum(axis=-2)
+        np.matmul(grad_z.swapaxes(-1, -2), cache.activations[k], out=grad_w[k])
+        np.sum(grad_z, axis=-2, out=grad_b[k])
         if k > 0:
             grad_a = grad_z @ model.weights[k]
 
-    return Gradients(weights=grad_w, biases=grad_b)
+    return grads
 
 
-def adam_step(model: DsaeModel, gradients: Gradients, state: AdamState, cfg: TrainingConfig):
-    """One bias-corrected Adam update. Arrays are updated in place."""
+def adam_step(model: DsaeModel, gradients: np.ndarray, state: AdamState, cfg: TrainingConfig):
+    """One bias-corrected Adam update of the whole parameter buffer, in place."""
     state.t += 1
-    t = state.t
     b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-
-    def _update(param, grad, m, v):
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        param -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-
-    for k in range(len(model.weights)):
-        _update(model.weights[k], gradients.weights[k], state.m_weights[k], state.v_weights[k])
-        _update(model.biases[k], gradients.biases[k], state.m_biases[k], state.v_biases[k])
+    bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    m, v, params = state.m, state.v, model.params
+    m *= b1
+    m += (1.0 - b1) * gradients
+    v *= b2
+    v += (1.0 - b2) * gradients * gradients
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
     return model, state
 
 

@@ -1,10 +1,15 @@
-"""Byte mutations of `evaluate`'s inputs end in an exit code, never a traceback.
+"""Byte mutations of the CLI's inputs end in an exit code, never a traceback.
 
-A valid config, held-out dataset and selection file are built once; each
-example replaces, inserts or deletes a few bytes of one of them and runs
-``refsel evaluate``. Every failure must surface as exit code 1, 2 or 3.
+A valid config, dataset and selection file are built once; each example
+replaces, inserts or deletes a few bytes of one of them and runs a command:
+``evaluate`` on the held-out dataset and selection file, or ``select`` /
+``export-q`` on the dataset the config names. Every failure must surface as
+exit code 1, 2 or 3. One epoch of two 6-wide components keeps any mutated
+count of epochs or components small enough to train in well under a second.
 """
 
+import contextlib
+import os
 import tempfile
 from pathlib import Path
 
@@ -27,6 +32,12 @@ encoder_activations = tanh
 decoder = 3-6
 decoder_activations = sigmoid
 
+[training]
+epochs = 1
+
+[selection]
+deltas = 0.5
+
 [eval]
 train_fraction = 0.7
 seed = 3
@@ -43,12 +54,12 @@ def valid_inputs():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data, _ = make_planted_dataset(30, 8, 6, n_planted=2, shift=2.0, seed=4)
-        save_csv(data, tmp / "cds.csv")
+        save_csv(data, tmp / "data.csv")
         delta = np.array([0.3, -0.1, 0.8, 0.0, 0.5, 0.2])
         save_selection(select_features(delta, 0.5), tmp / SELECTION)
         return {
             "run.ini": CONFIG.encode("utf-8"),
-            "cds.csv": (tmp / "cds.csv").read_bytes(),
+            "data.csv": (tmp / "data.csv").read_bytes(),
             SELECTION: (tmp / SELECTION).read_bytes(),
         }
 
@@ -76,22 +87,45 @@ def mutate(raw: bytes, changes) -> bytes:
     return bytes(buf)
 
 
-def run_evaluate(target=None, changes=()):
-    """Write the inputs, ``target`` mutated by ``changes``; return evaluate's exit code."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        out.mkdir()
+@contextlib.contextmanager
+def working_directory(path):
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def run(command, target=None, changes=()):
+    """Write the inputs, ``target`` mutated by ``changes``; return the command's exit code.
+
+    The config's relative paths resolve in a fresh directory: the dataset
+    is data.csv there, and evaluate reads it as out/cds.csv.
+    """
+    with tempfile.TemporaryDirectory() as tmp, working_directory(tmp):
+        Path("out").mkdir()
         for name, raw in VALID.items():
-            path = Path(tmp) / "run.ini" if name == "run.ini" else out / name
-            path.write_bytes(mutate(raw, changes) if name == target else raw)
-        return main(["evaluate", "--config", str(Path(tmp) / "run.ini"), "--output", str(out)])
+            raw = mutate(raw, changes) if name == target else raw
+            if name == "data.csv":
+                Path("out", "cds.csv").write_bytes(raw)
+            (Path("out", name) if name == SELECTION else Path(name)).write_bytes(raw)
+        return main([command, "--config", "run.ini"])
 
 
 def test_unmutated_inputs_exit_0():
-    assert run_evaluate() == 0
+    for command in ("select", "export-q", "evaluate"):
+        assert run(command) == 0, command
 
 
 @given(target=st.sampled_from(sorted(VALID)), changes=edits)
 @settings(max_examples=60, deadline=None)
 def test_mutated_evaluate_inputs_exit_with_a_code(target, changes):
-    assert run_evaluate(target, changes) in (0, 1, 2, 3)
+    assert run("evaluate", target, changes) in (0, 1, 2, 3)
+
+
+@given(command=st.sampled_from(["select", "export-q"]),
+       target=st.sampled_from(["run.ini", "data.csv"]), changes=edits)
+@settings(max_examples=60, deadline=None)
+def test_mutated_training_inputs_exit_with_a_code(command, target, changes):
+    assert run(command, target, changes) in (0, 1, 2, 3)

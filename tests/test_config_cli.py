@@ -1,6 +1,7 @@
 """Run config parsing and the four CLI commands on a small synthetic run."""
 
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,30 @@ def test_evaluate_with_empty_selection_warns_but_succeeds(run_dir):
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
     rows = (out_dir / "report_rows.csv").read_text()
     assert "empty selection; skipped" in rows
+    assert ",nan,nan,empty selection; skipped" in rows  # the CSV tables keep nan
+
+    def reject(token):
+        raise AssertionError(f"report.json holds the non-JSON token {token}")
+
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+    skipped = [s for s in report["summaries"] if s["delta_quantile"] == 0.99]
+    assert skipped and all(s["auroc_mean"] is None and s["sensitivity_std"] is None
+                           for s in skipped)
+    assert all(r["auroc"] is None for r in report["rows"] if r["delta_quantile"] == 0.99)
+
+
+def test_evaluate_manifest_has_no_component_seeds(run_dir):
+    # evaluate trains nothing, so its cost must not grow with the component count.
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("components = 3", f"components = {10**7}"), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["n_components"] == 10**7
+    assert "component_seeds" not in manifest
 
 
 def test_benchmark_matches_subset_sizes(run_dir):

@@ -19,7 +19,7 @@ from refsel import (
     select_at_thresholds,
     select_features,
 )
-from refsel.exceptions import ComponentError, DataError, ParameterError, ShapeError
+from refsel.exceptions import ComponentError, DataError, NumericError, ParameterError, ShapeError
 from refsel.nn import layers_from_widths
 
 DELTA_GRID = (0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97, 0.99)
@@ -245,6 +245,13 @@ def test_select_at_thresholds_shares_class_means():
     l_min, l_maj = class_mean_re(q)
     assert np.allclose(results[2].delta, l_min - l_maj)
     assert np.array_equal(results[2].l_min, l_min)
+
+
+def test_select_at_thresholds_rejects_overflowing_class_errors():
+    # Finite errors whose class sums pass float64's maximum: the means are inf.
+    q = REMatrix(Q=np.full((4, 3), 1e308), labels=np.array([1, 0] * 2))
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
+        select_at_thresholds(q, [0.5])
 
 
 def test_select_at_thresholds_nested_over_default_grid():

@@ -27,7 +27,7 @@ from refsel import (
     train,
 )
 from refsel.exceptions import DataError, NumericError, ParameterError, ShapeError
-from refsel.nn import Gradients, _activate, layers_from_widths
+from refsel.nn import _activate, _layer_views, layers_from_widths
 
 
 # ---------------------------------------------------------------------------
@@ -55,41 +55,30 @@ def straight_line_forward(model, row):
 
 
 def finite_difference_grads(model, batch, h=1e-5):
+    """Central differences of the total loss for every weight and bias, shaped like params."""
     def total():
         return loss_with_penalty(model, batch)[0]
 
-    grads_w, grads_b = [], []
-    for W in model.weights:
-        g = np.zeros_like(W)
-        for idx in np.ndindex(W.shape):
-            orig = W[idx]
-            W[idx] = orig + h
+    grads = np.zeros_like(model.params)
+    grad_w, grad_b = _layer_views(model.config, grads)
+    for param, g in zip(model.weights + model.biases, grad_w + grad_b):
+        for idx in np.ndindex(param.shape):
+            orig = param[idx]
+            param[idx] = orig + h
             up = total()
-            W[idx] = orig - h
+            param[idx] = orig - h
             down = total()
-            W[idx] = orig
+            param[idx] = orig
             g[idx] = (up - down) / (2 * h)
-        grads_w.append(g)
-    for b in model.biases:
-        g = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + h
-            up = total()
-            b[idx] = orig - h
-            down = total()
-            b[idx] = orig
-            g[idx] = (up - down) / (2 * h)
-        grads_b.append(g)
-    return Gradients(weights=grads_w, biases=grads_b)
+    return grads
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-5, atol=1e-8):
     """Relative error <= rtol with an absolute floor for near-zero entries."""
-    for a, f in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):
-        err = np.abs(a - f)
-        bound = atol + rtol * np.maximum(np.abs(a), np.abs(f))
-        assert np.all(err <= bound), f"max excess {np.max(err - bound)}"
+    assert analytic.shape == numeric.shape
+    err = np.abs(analytic - numeric)
+    bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
+    assert np.all(err <= bound), f"max excess {np.max(err - bound)}"
 
 
 def make_model(widths, encoder_acts, decoder_acts, l1_penalty=0.0, seed=0):
@@ -163,6 +152,29 @@ def test_model_init_is_deterministic_and_bounded():
     assert all(np.all(b == 0) for b in m1.biases)
 
 
+def test_layer_views_write_through_to_params():
+    model = make_model([3, 2, 3], "tanh", "linear", seed=5)
+    model.weights[1][2, 0] = 7.0
+    model.biases[1][...] = -1.0
+    # Layer 0's W (2x3) and b fill params[:8]; layer 1's W (3x2) and b follow.
+    assert model.params[8:14].reshape(3, 2)[2, 0] == 7.0
+    assert np.array_equal(model.params[-3:], [-1.0, -1.0, -1.0])
+    with pytest.raises(AttributeError):
+        model.weights = [np.eye(3)]
+    with pytest.raises(AttributeError):
+        model.biases = [np.zeros(3)]
+
+
+def test_model_rejects_misshapen_or_non_finite_params():
+    model = make_model([3, 2, 3], "tanh", "linear")
+    with pytest.raises(ShapeError):
+        DsaeModel(params=model.params[:-1], config=model.config)
+    params = model.params.copy()
+    params[-1] = np.nan
+    with pytest.raises(NumericError, match="layer 1"):
+        DsaeModel(params=params, config=model.config)
+
+
 # ---------------------------------------------------------------------------
 # forward
 
@@ -173,8 +185,10 @@ def identity_model(n=2, bias_last=None):
         l1_penalty=0.0,
     )
     model = DsaeModel.from_config(cfg)
-    model.weights = [np.eye(n), np.eye(n)]
-    model.biases = [np.zeros(n), np.zeros(n) if bias_last is None else np.asarray(bias_last, float)]
+    for w in model.weights:
+        w[...] = np.eye(n)
+    if bias_last is not None:
+        model.biases[1][...] = bias_last
     return model
 
 
@@ -191,8 +205,7 @@ def test_forward_zero_weights_sigmoid_decoder():
         decoder_layers=layers_from_widths([2, 3], "sigmoid"),
     )
     model = DsaeModel.from_config(cfg)
-    model.weights = [np.zeros((2, 3)), np.zeros((3, 2))]
-    model.biases = [np.zeros(2), np.zeros(3)]
+    model.params[...] = 0.0
     recon, code, _ = forward(model, np.random.default_rng(5).normal(size=(4, 3)))
     assert np.array_equal(code, np.zeros((4, 2)))
     assert np.allclose(recon, 0.5)
@@ -286,8 +299,8 @@ def test_loss_overflow_names_layer():
         decoder_layers=layers_from_widths([1, 1], "linear"),
     )
     model = DsaeModel.from_config(cfg)
-    model.weights = [np.array([[1e200]]), np.array([[1e200]])]
-    model.biases = [np.zeros(1), np.zeros(1)]
+    for w in model.weights:
+        w[...] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="layer 1"):
         loss_with_penalty(model, [[1.0]])
 
@@ -300,8 +313,8 @@ def test_backward_zero_residual_gives_zero_gradients():
     batch = np.array([[0.3, -0.7], [1.5, 0.1]])
     _, _, cache = forward(model, batch)
     grads = backward(model, batch, cache)
-    for g in grads.weights + grads.biases:
-        assert np.all(g == 0.0)
+    assert grads.shape == model.params.shape
+    assert np.all(grads == 0.0)
 
 
 def test_backward_matches_finite_differences_deep_net():
@@ -337,17 +350,13 @@ def test_penalty_gradient_alone_tanh_code():
 
     g_with = backward(with_pen, batch, cache)
     g_without = backward(no_pen, batch, forward(no_pen, batch)[2])
-    analytic_pen = Gradients(
-        weights=[a - b for a, b in zip(g_with.weights, g_without.weights)],
-        biases=[a - b for a, b in zip(g_with.biases, g_without.biases)],
-    )
+    analytic_pen = g_with - g_without
 
     # Finite differences of the penalty term alone (total_with - total_without).
     def penalty_only_fd():
         h = 1e-5
-        grads_w, grads_b = [], []
-        for k in range(len(with_pen.weights)):
-            g = np.zeros_like(with_pen.weights[k])
+        grads = np.zeros_like(with_pen.params)
+        for k, g in enumerate(_layer_views(with_pen.config, grads)[0]):
             for idx in np.ndindex(g.shape):
                 orig = with_pen.weights[k][idx]
                 for model in (with_pen, no_pen):
@@ -359,12 +368,10 @@ def test_penalty_gradient_alone_tanh_code():
                 for model in (with_pen, no_pen):
                     model.weights[k][idx] = orig
                 g[idx] = (up - down) / (2 * h)
-            grads_w.append(g)
-            grads_b.append(np.zeros_like(with_pen.biases[k]))
-        return Gradients(weights=grads_w, biases=grads_b)
+        return grads
 
-    fd = penalty_only_fd()
-    for a, f in zip(analytic_pen.weights, fd.weights):
+    fd_w = _layer_views(with_pen.config, penalty_only_fd())[0]
+    for a, f in zip(_layer_views(with_pen.config, analytic_pen)[0], fd_w):
         assert np.allclose(a, f, rtol=1e-4, atol=1e-9)
 
     # Direct formula at the code layer: d(penalty)/dz_code = lam/n * sign(h) * (1-h^2).
@@ -372,7 +379,7 @@ def test_penalty_gradient_alone_tanh_code():
     z_code = cache.pre_activations[0]
     h_code = cache.activations[1]
     expected_bias = (lam / n) * (np.sign(h_code) * (1 - h_code**2)).sum(axis=0)
-    assert np.allclose(g_with.biases[0] - g_without.biases[0], expected_bias, rtol=1e-10)
+    assert np.allclose(_layer_views(with_pen.config, analytic_pen)[1][0], expected_bias, rtol=1e-10)
     assert z_code.shape == h_code.shape
 
 
@@ -385,16 +392,13 @@ def scalar_model():
         decoder_layers=layers_from_widths([1, 1], "linear"),
     )
     model = DsaeModel.from_config(cfg)
-    model.weights = [np.array([[0.5]]), np.array([[0.25]])]
-    model.biases = [np.zeros(1), np.zeros(1)]
+    model.weights[0][...] = 0.5
+    model.weights[1][...] = 0.25
     return model
 
 
 def unit_gradients(model, value):
-    return Gradients(
-        weights=[np.full_like(w, value) for w in model.weights],
-        biases=[np.full_like(b, value) for b in model.biases],
-    )
+    return np.full_like(model.params, value)
 
 
 def test_adam_first_step_moves_by_learning_rate():
@@ -409,11 +413,10 @@ def test_adam_first_step_moves_by_learning_rate():
 def test_adam_zero_gradient_keeps_parameters():
     model = scalar_model()
     state = AdamState.zeros(model)
-    before = [w.copy() for w in model.weights]
+    before = model.params.copy()
     adam_step(model, unit_gradients(model, 0.0), state, TrainingConfig())
     assert state.t == 1
-    for w0, w1 in zip(before, model.weights):
-        assert np.array_equal(w0, w1)
+    assert np.array_equal(before, model.params)
 
 
 def test_adam_two_steps_match_hand_unrolled_recurrence():
