@@ -154,7 +154,7 @@ def _train(cfg: RunConfig):
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
     """Write manifest.json; the commands that train also list every component's seeds."""
-    doc = {"command": command, "version": __version__, "config": cfg.to_manifest()}
+    doc = {"command": command, "version": __version__, "config": dataclasses.asdict(cfg)}
     if command != "evaluate":
         doc["component_seeds"] = [
             list(component_seeds(cfg.master_seed, b)) for b in range(cfg.n_components)

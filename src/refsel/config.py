@@ -2,15 +2,18 @@
 
 Precedence is command-line flags over file values over built-in defaults.
 The file uses flat key=value pairs grouped in sections: [data], optional
-[split], [ensemble], [training], [selection], [eval], [output].
+[split], [ensemble], [training], [selection], [eval], [output]. Each
+RunConfig field declares its own ``[section] key``, parser and default.
+Values are interpolated, so a literal ``%`` is written ``%%``.
 """
 
 from __future__ import annotations
 
 import configparser
-import functools
+import contextlib
+import dataclasses
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .data import SCALING_MODES, DatasetSplitSpec
@@ -21,19 +24,17 @@ from .nn import DsaeConfig, TrainingConfig, layers_from_widths
 
 DEFAULT_DELTAS = (0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97, 0.99)
 
-_REQUIRED = object()
+# (key, DatasetSplitSpec field, parser); the defaults are the spec's own.
+_SPLIT_KEYS = (
+    ("fsds_fraction", "fsds_fraction", float),
+    ("seed", "split_seed", int),
+    ("minority_subsample", "minority_subsample", int),
+)
 
 
-def _get(parser, section, key, default=_REQUIRED, cast=str):
-    if not parser.has_option(section, key) or parser.get(section, key).strip() == "":
-        if default is _REQUIRED:
-            raise UsageError(f"missing config key [{section}] {key}")
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise UsageError(f"config key [{section}] {key}: cannot parse {raw!r}") from None
+def _key(section, key, cast=str, default=MISSING):
+    """A field read from ``[section] key`` by ``cast``; without a default the key is required."""
+    return field(default=default, metadata={"ini": (section, key, cast)})
 
 
 def _widths(raw: str):
@@ -60,45 +61,38 @@ def _label(raw: str):
         return raw
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     """Fully resolved settings for one pipeline run."""
 
-    # [data]
-    data_format: str
-    dataset_path: str = None
-    label: object = None
-    minority_label: str = None
-    images_path: str = None
-    labels_path: str = None
-    majority_class: int = None
-    minority_class: int = None
-    majority_count: int = None
-    minority_count: int = None
-    scaling_mode: str = "unit_interval"
-    # [split]
-    split: DatasetSplitSpec = None
-    # [ensemble]
-    n_components: int = 25
-    master_seed: int = 0
-    parallelism: int = 1
-    encoder_widths: list = None
-    encoder_activations: object = None
-    decoder_widths: list = None
-    decoder_activations: object = None
-    l1_penalty: float = 1e-5
-    # [training]
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    # [selection]
-    delta_quantiles: tuple = DEFAULT_DELTAS
-    estimator: str = "mean"
-    # [eval]
-    eval_train_fraction: float = 0.7
-    eval_seed: int = 0
-    eval_classifiers: tuple = ("gaussian_nb", "logistic_regression", "knn")
-    eval_trials: int = 5
-    # [output]
-    output_dir: str = "."
+    data_format: str = _key("data", "format", str.lower, "csv")
+    dataset_path: str = _key("data", "path", str, None)
+    label: object = _key("data", "label", _label, None)
+    minority_label: str = _key("data", "minority_label", str, None)
+    images_path: str = _key("data", "images", str, None)
+    labels_path: str = _key("data", "labels", str, None)
+    majority_class: int = _key("data", "majority_class", int, None)
+    minority_class: int = _key("data", "minority_class", int, None)
+    majority_count: int = _key("data", "majority_count", int, None)
+    minority_count: int = _key("data", "minority_count", int, None)
+    scaling_mode: str = _key("data", "scaling", str.lower, "unit_interval")
+    split: DatasetSplitSpec = None  # [split], read through _SPLIT_KEYS
+    n_components: int = _key("ensemble", "components", int, 25)
+    master_seed: int = _key("ensemble", "master_seed", int, EnsembleConfig.master_seed)
+    parallelism: int = _key("ensemble", "parallelism", int, EnsembleConfig.parallelism)
+    encoder_widths: list = _key("ensemble", "encoder", _widths)
+    encoder_activations: object = _key("ensemble", "encoder_activations", _names)
+    decoder_widths: list = _key("ensemble", "decoder", _widths)
+    decoder_activations: object = _key("ensemble", "decoder_activations", _names)
+    l1_penalty: float = _key("ensemble", "l1_penalty", float, DsaeConfig.l1_penalty)
+    training: TrainingConfig = field(default_factory=TrainingConfig)  # keys: its field names
+    delta_quantiles: tuple = _key("selection", "deltas", _floats, DEFAULT_DELTAS)
+    estimator: str = _key("selection", "estimator", str.lower, "mean")
+    eval_train_fraction: float = _key("eval", "train_fraction", float, EvalProtocol.train_fraction)
+    eval_seed: int = _key("eval", "seed", int, EvalProtocol.split_seed)
+    eval_classifiers: tuple = _key("eval", "classifiers", _strings, EvalProtocol.classifiers)
+    eval_trials: int = _key("eval", "trials", int, EvalProtocol.trials)
+    output_dir: str = _key("output", "directory")
 
     def validate(self):
         if self.data_format not in ("csv", "idx"):
@@ -156,22 +150,13 @@ class RunConfig:
             trials=self.eval_trials,
         )
 
-    def to_manifest(self) -> dict:
-        doc = {}
-        for key, value in vars(self).items():
-            if key == "training":
-                doc["training"] = vars(value).copy()
-            elif key == "split":
-                doc["split"] = None if value is None else vars(value).copy()
-            elif isinstance(value, tuple):
-                doc[key] = list(value)
-            else:
-                doc[key] = value
-        return doc
-
 
 def load_run_config(path) -> RunConfig:
-    """Parse a config file into a RunConfig (no CLI overrides applied yet)."""
+    """Parse a config file into a RunConfig (no CLI overrides applied yet).
+
+    A missing or blank key keeps its default. A missing required key, or a value
+    that cannot be read (a bad ``%``) or parsed, raises UsageError naming it.
+    """
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
@@ -180,57 +165,36 @@ def load_run_config(path) -> RunConfig:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from None
-
     for section in ("data", "ensemble", "output"):
         if not parser.has_section(section):
             raise UsageError(f"missing config section [{section}]")
-    get = functools.partial(_get, parser)
 
-    split = None
+    def read(section, key, cast, default):
+        try:
+            raw = parser.get(section, key, fallback="").strip()
+        except configparser.Error as exc:
+            raise UsageError(f"config key [{section}] {key}: {exc}") from None
+        if not raw:
+            if default is MISSING:
+                raise UsageError(f"missing config key [{section}] {key}")
+            return default
+        if "\0" not in raw:  # no path, name or number holds a NUL byte
+            with contextlib.suppress(ValueError, TypeError):
+                return cast(raw)
+        raise UsageError(f"config key [{section}] {key}: cannot parse {raw!r}")
+
+    values = {}
     if parser.has_section("split"):
-        split = DatasetSplitSpec(
-            fsds_fraction=get("split", "fsds_fraction", 0.75, float),
-            split_seed=get("split", "seed", 0, int),
-            minority_subsample=get("split", "minority_subsample", None, int),
-        )
-
-    cfg = RunConfig(
-        data_format=get("data", "format", "csv").lower(),
-        dataset_path=get("data", "path", None),
-        label=get("data", "label", None, _label),
-        minority_label=get("data", "minority_label", None),
-        images_path=get("data", "images", None),
-        labels_path=get("data", "labels", None),
-        majority_class=get("data", "majority_class", None, int),
-        minority_class=get("data", "minority_class", None, int),
-        majority_count=get("data", "majority_count", None, int),
-        minority_count=get("data", "minority_count", None, int),
-        scaling_mode=get("data", "scaling", "unit_interval").lower(),
-        split=split,
-        n_components=get("ensemble", "components", 25, int),
-        master_seed=get("ensemble", "master_seed", 0, int),
-        parallelism=get("ensemble", "parallelism", 1, int),
-        encoder_widths=get("ensemble", "encoder", cast=_widths),
-        encoder_activations=get("ensemble", "encoder_activations", cast=_names),
-        decoder_widths=get("ensemble", "decoder", cast=_widths),
-        decoder_activations=get("ensemble", "decoder_activations", cast=_names),
-        l1_penalty=get("ensemble", "l1_penalty", 1e-5, float),
-        training=TrainingConfig(
-            epochs=get("training", "epochs", 100, int),
-            batch_size=get("training", "batch_size", 100, int),
-            learning_rate=get("training", "learning_rate", 0.001, float),
-            beta1=get("training", "beta1", 0.9, float),
-            beta2=get("training", "beta2", 0.999, float),
-            epsilon=get("training", "epsilon", 1e-8, float),
-        ),
-        delta_quantiles=get("selection", "deltas", DEFAULT_DELTAS, _floats),
-        estimator=get("selection", "estimator", "mean").lower(),
-        eval_train_fraction=get("eval", "train_fraction", 0.7, float),
-        eval_seed=get("eval", "seed", 0, int),
-        eval_classifiers=get(
-            "eval", "classifiers", ("gaussian_nb", "logistic_regression", "knn"), _strings
-        ),
-        eval_trials=get("eval", "trials", 5, int),
-        output_dir=get("output", "directory"),
-    )
-    return cfg.validate()
+        values["split"] = DatasetSplitSpec(**{
+            name: read("split", key, cast, getattr(DatasetSplitSpec, name))
+            for key, name, cast in _SPLIT_KEYS
+        })
+    for f in dataclasses.fields(RunConfig):
+        if "ini" in f.metadata:
+            values[f.name] = read(*f.metadata["ini"], f.default)
+        elif f.name == "training":
+            values["training"] = TrainingConfig(**{
+                t.name: read("training", t.name, type(t.default), t.default)
+                for t in dataclasses.fields(TrainingConfig)
+            })
+    return RunConfig(**values).validate()

@@ -121,6 +121,9 @@ def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, l
         model, data.X, cfg.training, rows=np.array([split.train_rows for split in splits])
     )
     errors = reconstruction_errors(model, data.X[np.array([split.test_rows for split in splits])])
+    finite = np.isfinite(errors).all(axis=(-2, -1))
+    if not finite.all():
+        raise ComponentError(int(finite.argmin()), NumericError("non-finite reconstruction errors"))
     q[:] = errors.reshape(q.shape)
     labels[:] = np.concatenate([split.test_labels for split in splits])
     return history[-len(indices):]
@@ -240,7 +243,8 @@ def select_at_thresholds(q: REMatrix, delta_quantiles, estimator: str = "mean"):
     delta_quantiles = list(delta_quantiles)
     if not delta_quantiles:
         raise ParameterError("need at least one quantile level")
-    l_min, l_maj = class_mean_re(q, estimator=estimator)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        l_min, l_maj = class_mean_re(q, estimator=estimator)
     if not (np.isfinite(l_min).all() and np.isfinite(l_maj).all()):
         raise NumericError("class reconstruction errors overflow float64")
     delta = delta_re(l_min, l_maj)

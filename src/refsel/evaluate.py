@@ -47,6 +47,8 @@ class EvalProtocol:
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
+        if not self.classifiers:
+            raise ParameterError("need at least one classifier")
         unknown = [c for c in self.classifiers if c not in CLASSIFIERS]
         if unknown:
             raise ParameterError(f"unknown classifiers {unknown}; choose from {sorted(CLASSIFIERS)}")

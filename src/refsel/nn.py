@@ -418,24 +418,31 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
     rngs = [np.random.default_rng(seed) for seed in model.config.seeds]
     history = []
 
-    for _ in range(cfg.epochs):
-        order = np.array([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
-        epoch_rows = np.take_along_axis(rows, order, axis=-1)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            xb = x[epoch_rows[..., start : start + batch_size]]
-            _, _, cache = forward(model, xb)
-            total, _, _ = _loss_from_cache(model, xb, cache)
-            grads = backward(model, xb, cache)
-            adam_step(model, grads, state, cfg)
-            epoch_loss += total * xb.shape[-2]
-        history.extend(np.ravel(epoch_loss / n))
+    # Overflow is reported, not warned about: as non-finite activations by
+    # _check_finite, or after the last step as non-finite reconstruction errors.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(cfg.epochs):
+            order = np.array([rng.permutation(n) for rng in rngs]).reshape(rows.shape)
+            epoch_rows = np.take_along_axis(rows, order, axis=-1)
+            epoch_loss = 0.0
+            for start in range(0, n, batch_size):
+                xb = x[epoch_rows[..., start : start + batch_size]]
+                _, _, cache = forward(model, xb)
+                total, _, _ = _loss_from_cache(model, xb, cache)
+                grads = backward(model, xb, cache)
+                adam_step(model, grads, state, cfg)
+                epoch_loss += total * xb.shape[-2]
+            history.extend(np.ravel(epoch_loss / n))
 
     return model, history
 
 
 def reconstruction_errors(model: DsaeModel, test_matrix) -> np.ndarray:
-    """Element-wise squared reconstruction error, one row per observation."""
+    """Element-wise squared reconstruction error, one row per observation.
+
+    Overflow is silent here: the result may hold inf or NaN, for the caller to check.
+    """
     x = _as_batch(model, test_matrix)
-    recon, _, _ = forward(model, x)
-    return (x - recon) ** 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        recon, _, _ = forward(model, x)
+        return (x - recon) ** 2

@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
@@ -403,7 +404,9 @@ def test_unallocatable_error_matrix_exits_1(run_dir, capsys):
     ("batch_size = 16", "batch_size = 16\nlearning_rate = nan"),
     ("batch_size = 16", "batch_size = 16\nepsilon = nan"),
     ("l1_penalty = 1e-5", "l1_penalty = inf"),
-], ids=["trials", "train_fraction", "classifiers", "learning_rate", "epsilon", "l1_penalty"])
+    ("classifiers = gaussian_nb,knn", "classifiers = ,"),
+], ids=["trials", "train_fraction", "classifiers", "learning_rate", "epsilon", "l1_penalty",
+        "no_classifiers"])
 def test_bad_config_exits_1_before_training(run_dir, monkeypatch, capsys, old, new):
     import refsel.cli as cli_module
 
@@ -417,3 +420,67 @@ def test_bad_config_exits_1_before_training(run_dir, monkeypatch, capsys, old, n
     cfg_path.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["benchmark", "--config", str(cfg_path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bad_interpolation_exits_1_naming_the_key(run_dir, capsys):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("label = label", "label = label%"), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config key [data] label: '%' must be followed by '%' or '('" in err
+    assert "Traceback" not in err
+    cfg_path.write_text(text.replace("label = label", "label = label%%"), encoding="utf-8")
+    assert load_run_config(cfg_path).label == "label%"
+
+
+@pytest.mark.parametrize("old, key", [
+    ("directory = ", "[output] directory"), ("path = ", "[data] path"),
+], ids=["directory", "path"])
+def test_nul_byte_in_a_value_exits_1_naming_the_key(run_dir, capsys, old, key):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace(old, old + "\0"), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key}: cannot parse '\\x00" in err
+    assert "Traceback" not in err
+
+
+def diverging_config(tmp_path, learning_rate, epochs):
+    """A linear 6-3-6 model whose Adam steps blow up the weights."""
+    data, _ = make_planted_dataset(30, 8, 6, n_planted=2, shift=2.0, seed=4)
+    save_csv(data, tmp_path / "data.csv")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        f"[data]\npath = {tmp_path / 'data.csv'}\nlabel = label\n"
+        "[ensemble]\ncomponents = 2\nencoder = 6-3\nencoder_activations = linear\n"
+        "decoder = 3-6\ndecoder_activations = linear\n"
+        f"[training]\nepochs = {epochs}\nlearning_rate = {learning_rate}\n"
+        f"[output]\ndirectory = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    return cfg_path
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("learning_rate", ["1e300", "1e308"])
+def test_non_finite_reconstruction_errors_exit_3(tmp_path, capsys, command, parallelism,
+                                                 learning_rate):
+    # One epoch: the last Adam step leaves non-finite weights that no
+    # training forward pass sees, so only the error matrix shows them.
+    cfg_path = diverging_config(tmp_path, learning_rate, epochs=1)
+    assert main([command, "--config", str(cfg_path), "--parallelism", parallelism]) == 3
+    err = capsys.readouterr().err
+    assert "component 0: non-finite reconstruction errors" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "q_matrix.csv").exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_diverging_run_raises_no_runtime_warning(tmp_path, epochs):
+    cfg_path = diverging_config(tmp_path, "1e100", epochs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["select", "--config", str(cfg_path)]) == 3

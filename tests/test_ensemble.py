@@ -1,6 +1,7 @@
 """Ensemble orchestration, error pooling and quantile selection."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -249,8 +250,10 @@ def test_select_at_thresholds_shares_class_means():
 
 def test_select_at_thresholds_rejects_overflowing_class_errors():
     # Finite errors whose class sums pass float64's maximum: the means are inf.
+    # The check reports it, so numpy's overflow warning stays silent.
     q = REMatrix(Q=np.full((4, 3), 1e308), labels=np.array([1, 0] * 2))
-    with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
+    with warnings.catch_warnings(), pytest.raises(NumericError, match="overflow"):
+        warnings.simplefilter("error", RuntimeWarning)
         select_at_thresholds(q, [0.5])
 
 
