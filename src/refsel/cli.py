@@ -135,6 +135,7 @@ def _train(cfg: RunConfig):
     data = _load_dataset(cfg)
     if cfg.split is not None:
         fsds, cds = build_fsds_cds(data, cfg.split)
+        del data  # both sides are copies; the full matrix need not outlive training
     else:
         fsds, cds = data, None
     params = fit_scaling(fsds.X, cfg.scaling_mode)

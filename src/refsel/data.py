@@ -8,6 +8,7 @@ so partial files never appear under the final name.
 
 from __future__ import annotations
 
+import array
 import csv
 import json
 import math
@@ -37,6 +38,11 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     ``label`` is the label column name or 0-based index. The label column
     must hold exactly two distinct values; the rarer one maps to 1, with
     ``minority_label`` as explicit override (required on a tie).
+
+    Feature cells are parsed with ``float`` straight into one contiguous
+    buffer that becomes ``X`` without a copy, so the parse holds little more
+    than ``X`` itself. Only a record holding a cell ``float`` rejects is
+    parsed again cell by cell, to name that cell in the ParseError.
     """
     path = Path(path)
     if not path.exists():
@@ -57,26 +63,20 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
             label_idx = header.index(label)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
-        rows, raw_labels = [], []
+        values, raw_labels = array.array("d"), []
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise ParseError(
                     f"expected {len(header)} fields, found {len(record)}", line=lineno
                 )
-            values = []
-            for i, cell in enumerate(record):
-                if i == label_idx:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric value {cell!r} in column {header[i]!r}", line=lineno
-                    ) from None
-            rows.append(values)
-            raw_labels.append(record[label_idx])
+            raw_labels.append(record.pop(label_idx))
+            try:
+                values.extend(map(float, record))
+            except ValueError:
+                _raise_non_numeric(record, feature_names, lineno)
+                raise
 
-    if not rows:
+    if not raw_labels:
         raise DataError(f"{path}: no data rows")
     distinct = sorted(set(raw_labels))
     if len(distinct) != 2:
@@ -95,7 +95,7 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     else:
         minority = min(counts, key=counts.get)
 
-    X = np.array(rows, dtype=np.float64)
+    X = np.frombuffer(values).reshape(len(raw_labels), len(feature_names))
     finite = np.isfinite(X)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -105,6 +105,17 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
         )
     y = np.array([1 if v == minority else 0 for v in raw_labels], dtype=np.int64)
     return LabeledDataset(X=X, y=y, feature_names=feature_names)
+
+
+def _raise_non_numeric(cells, names, lineno):
+    """Raise ParseError naming the first of ``cells`` that ``float`` rejects."""
+    for cell, name in zip(cells, names):
+        try:
+            float(cell)
+        except ValueError:
+            raise ParseError(
+                f"non-numeric value {cell!r} in column {name!r}", line=lineno
+            ) from None
 
 
 def _decoded_lines(fh, path):

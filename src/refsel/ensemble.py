@@ -110,6 +110,8 @@ def component_seeds(master_seed: int, component_index: int):
 def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, labels):
     """Train components ``indices`` as one stacked model; fill their rows of q and labels.
 
+    The test-set errors are scored straight into ``q``, the stack's block of rows.
+
     Returns the components' last-epoch losses (empty with zero epochs).
     """
     seeds = [component_seeds(cfg.master_seed, b) for b in indices]
@@ -120,11 +122,12 @@ def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, l
     model, history = train(
         model, data.X, cfg.training, rows=np.array([split.train_rows for split in splits])
     )
-    errors = reconstruction_errors(model, data.X[np.array([split.test_rows for split in splits])])
+    test = data.X[np.array([split.test_rows for split in splits])]
+    # q is a contiguous block of rows, so this reshape is a view of it.
+    errors = reconstruction_errors(model, test, out=q.reshape(test.shape))
     finite = np.isfinite(errors).all(axis=(-2, -1))
     if not finite.all():
         raise ComponentError(int(finite.argmin()), NumericError("non-finite reconstruction errors"))
-    q[:] = errors.reshape(q.shape)
     labels[:] = np.concatenate([split.test_labels for split in splits])
     return history[-len(indices):]
 

@@ -38,10 +38,16 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "sigmoid":
         # exp(-|z|) never overflows. Per element these are the operations of
         # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so the bits
-        # match evaluating each branch on its own half.
-        e = np.exp(-np.abs(z))
-        d = 1.0 + e
-        return np.where(z >= 0, 1.0 / d, e / d)
+        # match evaluating each branch on its own half. Both branches are
+        # computed in place in two buffers besides z; ``out=`` also keeps a
+        # 0-d z an array rather than a scalar.
+        e = np.abs(z, out=np.empty_like(z))
+        np.exp(np.negative(e, out=e), out=e)
+        d = np.add(1.0, e, out=np.empty_like(z))
+        np.divide(e, d, out=e)
+        np.divide(1.0, d, out=d)
+        np.copyto(d, e, where=~(z >= 0))
+        return d
     if name == "linear":
         return z
     raise ParameterError(f"unknown activation {name!r}")
@@ -215,18 +221,6 @@ class DsaeModel:
         return DsaeModel(params=self.params.copy(), config=self.config)
 
 
-@dataclass
-class ForwardCache:
-    """Per-layer pre-activations and activations kept for backprop.
-
-    ``activations[0]`` is the input batch; ``activations[k+1]`` and
-    ``pre_activations[k]`` belong to layer k.
-    """
-
-    pre_activations: list
-    activations: list
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 100
@@ -276,45 +270,53 @@ def _as_batch(model: DsaeModel, batch) -> np.ndarray:
     return x
 
 
+def _pre_activation(model: DsaeModel, k: int, a: np.ndarray) -> np.ndarray:
+    """Layer k's ``a @ W.T + b``, with the bias added in place."""
+    z = a @ model.weights[k].swapaxes(-1, -2)
+    z += model.biases[k][..., None, :]
+    return z
+
+
 def forward(model: DsaeModel, batch):
     """Run the batch through the network.
 
-    Returns (reconstruction, code_activation, cache) where cache holds every
-    intermediate needed by :func:`backward`.
+    Returns (reconstruction, code_activation, cache) where cache, the pair
+    (pre_activations, activations), holds every intermediate needed by
+    :func:`backward`: ``activations[0]`` is the input batch, and
+    ``activations[k+1]`` and ``pre_activations[k]`` belong to layer k.
     """
     x = _as_batch(model, batch)
     activations = [x]
     pre_activations = []
-    a = x
     for k, spec in enumerate(model.config.layers):
-        z = a @ model.weights[k].swapaxes(-1, -2) + model.biases[k][..., None, :]
-        a = _activate(spec.activation, z)
+        z = _pre_activation(model, k, activations[-1])
         pre_activations.append(z)
-        activations.append(a)
-    cache = ForwardCache(pre_activations=pre_activations, activations=activations)
+        activations.append(_activate(spec.activation, z))
     code = activations[len(model.config.encoder_layers)]
-    return activations[-1], code, cache
+    return activations[-1], code, (pre_activations, activations)
 
 
-def _check_finite(cache: ForwardCache) -> None:
+def _check_finite(activations: list) -> None:
     """Raise NumericError naming the first layer with a non-finite activation.
 
-    In a stack the error names the lowest-index model that has one, as a
+    ``activations`` is the forward cache's list, the input batch first. In a
+    stack the error names the lowest-index model that has one, as a
     ComponentError carrying that model's position in the stack.
     """
-    if all(np.isfinite(a).all() for a in cache.activations[1:]):
+    if all(np.isfinite(a).all() for a in activations[1:]):
         return
-    bad = np.array([~np.isfinite(a).all(axis=(-2, -1)) for a in cache.activations[1:]])
+    bad = np.array([~np.isfinite(a).all(axis=(-2, -1)) for a in activations[1:]])
     if bad.ndim == 1:
         raise NumericError(f"non-finite activations in layer {bad.argmax()}")
     s = int(bad.any(axis=0).argmax())
     raise ComponentError(s, NumericError(f"non-finite activations in layer {bad[:, s].argmax()}"))
 
 
-def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: ForwardCache):
-    _check_finite(cache)
-    recon = cache.activations[-1]
-    code = cache.activations[len(model.config.encoder_layers)]
+def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: tuple):
+    _, activations = cache
+    _check_finite(activations)
+    recon = activations[-1]
+    code = activations[len(model.config.encoder_layers)]
     lead = model.config.stack_shape
     mse = np.mean(((x - recon) ** 2).reshape(lead + (-1,)), axis=-1)
     penalty = model.config.l1_penalty * np.mean(np.sum(np.abs(code), axis=-1), axis=-1)
@@ -333,13 +335,14 @@ def loss_with_penalty(model: DsaeModel, batch):
     return _loss_from_cache(model, x, cache)
 
 
-def backward(model: DsaeModel, batch, cache: ForwardCache) -> np.ndarray:
+def backward(model: DsaeModel, batch, cache: tuple) -> np.ndarray:
     """Gradient of loss_with_penalty, shaped and laid out like ``model.params``.
 
     Each layer's gradients are written into their views of that array. The L1
     term uses sign(h) with sign(0) = 0.
     """
     x = _as_batch(model, batch)
+    pre_activations, activations = cache
     layers = model.config.layers
     n, j = x.shape[-2:]
     code_index = len(model.config.encoder_layers) - 1
@@ -348,16 +351,16 @@ def backward(model: DsaeModel, batch, cache: ForwardCache) -> np.ndarray:
     grad_w, grad_b = _layer_views(model.config, grads)
 
     # d(mse)/d(reconstruction); mse is the grand mean over n*j entries.
-    grad_a = 2.0 * (cache.activations[-1] - x) / (n * j)
+    grad_a = 2.0 * (activations[-1] - x) / (n * j)
     lam = model.config.l1_penalty
 
     for k in range(len(layers) - 1, -1, -1):
         if k == code_index and lam != 0.0:
-            grad_a = grad_a + (lam / n) * np.sign(cache.activations[k + 1])
+            grad_a = grad_a + (lam / n) * np.sign(activations[k + 1])
         grad_z = grad_a * _activate_prime(
-            layers[k].activation, cache.pre_activations[k], cache.activations[k + 1]
+            layers[k].activation, pre_activations[k], activations[k + 1]
         )
-        np.matmul(grad_z.swapaxes(-1, -2), cache.activations[k], out=grad_w[k])
+        np.matmul(grad_z.swapaxes(-1, -2), activations[k], out=grad_w[k])
         np.sum(grad_z, axis=-2, out=grad_b[k])
         if k > 0:
             grad_a = grad_z @ model.weights[k]
@@ -437,12 +440,18 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
     return model, history
 
 
-def reconstruction_errors(model: DsaeModel, test_matrix) -> np.ndarray:
+def reconstruction_errors(model: DsaeModel, test_matrix, out=None) -> np.ndarray:
     """Element-wise squared reconstruction error, one row per observation.
 
-    Overflow is silent here: the result may hold inf or NaN, for the caller to check.
+    Only the current layer's activation is kept, never a forward cache. With
+    ``out``, an array of the batch's shape, the errors are written into it
+    and it is returned; otherwise a new array is. Overflow is silent here:
+    the result may hold inf or NaN, for the caller to check.
     """
     x = _as_batch(model, test_matrix)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        recon, _, _ = forward(model, x)
-        return (x - recon) ** 2
+        a = x
+        for k, spec in enumerate(model.config.layers):
+            a = _activate(spec.activation, _pre_activation(model, k, a))
+        errors = np.subtract(x, a, out=out)
+        return np.square(errors, out=errors)

@@ -91,7 +91,8 @@ def kink_free_draw(rng, config):
         batch = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), config.n_features))
         _, code, cache = forward(model, batch)
         ok = True if code_act == "relu" else bool(np.all(np.abs(code) > margin))
-        for spec, z in zip(model.config.layers, cache.pre_activations):
+        pre_activations, _ = cache
+        for spec, z in zip(model.config.layers, pre_activations):
             if spec.activation == "relu":
                 ok = ok and np.all(np.abs(z) > margin)
         if ok:

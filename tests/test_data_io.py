@@ -1,11 +1,12 @@
 """CSV/IDX loading, dataset carving, scaling, and persistence round trips."""
 
+import csv
 import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refsel import (
@@ -135,6 +136,150 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.y, data.y)
     assert back.feature_names == data.feature_names
+
+
+def reference_load_csv(path, label, minority_label=None):
+    """load_csv as a plain per-cell loop: each row a list of floats, then np.array."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+    if not records:
+        raise ParseError("file is empty", line=1)
+    header = records[0]
+    if isinstance(label, int):
+        if not 0 <= label < len(header):
+            raise DataError(f"label column index {label} out of range")
+        label_idx = label
+    else:
+        if label not in header:
+            raise DataError(f"label column {label!r} not in header {header}")
+        label_idx = header.index(label)
+    names = [h for i, h in enumerate(header) if i != label_idx]
+    rows, raw_labels = [], []
+    for lineno, record in enumerate(records[1:], start=2):
+        if len(record) != len(header):
+            raise ParseError(f"expected {len(header)} fields, found {len(record)}", line=lineno)
+        values = []
+        for i, cell in enumerate(record):
+            if i == label_idx:
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric value {cell!r} in column {header[i]!r}", line=lineno
+                ) from None
+        rows.append(values)
+        raw_labels.append(record[label_idx])
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise DataError(f"label column must hold exactly two distinct values, found {distinct}")
+    counts = {v: raw_labels.count(v) for v in distinct}
+    if minority_label is not None:
+        minority = str(minority_label)
+        if minority not in counts:
+            raise DataError(f"minority label {minority!r} not among {distinct}")
+    elif counts[distinct[0]] == counts[distinct[1]]:
+        raise DataError("classes are the same size; pass an explicit minority label")
+    else:
+        minority = min(counts, key=counts.get)
+    x = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"non-finite value {float(x[row, col])!r} in column {names[col]!r}",
+            line=int(row) + 2,
+        )
+    y = np.array([1 if v == minority else 0 for v in raw_labels], dtype=np.int64)
+    return LabeledDataset(X=x, y=y, feature_names=names)
+
+
+# Cells float() accepts in unusual spellings (a quoted cell reaches float()
+# without its quotes), cells that parse to a non-finite value, and cells it
+# rejects.
+UNUSUAL_CELLS = ["1_000", "+.5", "5.", "-0.0", "5e-324", " 2.5 ", "\t3", "2.2250738585072011e-308",
+                 '"7"', '" 1e3"']
+NON_FINITE_CELLS = ["1e400", "nan", "inf", "-Infinity"]
+INVALID_CELLS = ["1e", "", "abc", "0x10", '"1,5"', "1__0"]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+good_cells = st.one_of(finite_floats, st.sampled_from(UNUSUAL_CELLS))
+FAULTS = [None] * 5 + ["invalid", "invalid", "non_finite", "blank", "short", "long", "third_label"]
+
+
+@st.composite
+def csv_documents(draw):
+    """(text, label column by name or index, minority label) of a generated CSV.
+
+    Each document carries at most one fault, at a random data row: a bad or
+    non-finite cell, a blank line, a record one field short or long, or a
+    third label.
+    """
+    n_columns = draw(st.integers(1, 4))  # 1: a label-only file
+    label_idx = draw(st.integers(0, n_columns - 1))
+    header = [f"c{i}" for i in range(n_columns)]
+    header[label_idx] = "label"
+    labels = draw(st.permutations(["b"] * draw(st.integers(1, 3)) + ["a"] * draw(st.integers(0, 6))))
+    rows = []
+    for value in labels:
+        row = [draw(good_cells) for _ in range(n_columns)]
+        row[label_idx] = '"b"' if value == "b" and draw(st.booleans()) else value
+        rows.append(row)
+    fault = draw(st.sampled_from(FAULTS))
+    if rows and fault is not None:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        columns = [i for i in range(n_columns) if i != label_idx] or [label_idx]
+        cell = draw(st.sampled_from(columns))
+        if fault == "invalid":
+            row[cell] = draw(st.sampled_from(INVALID_CELLS))
+        elif fault == "non_finite":
+            row[cell] = draw(st.sampled_from(NON_FINITE_CELLS))
+        elif fault == "blank":
+            row.clear()
+        elif fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append(draw(good_cells))
+        else:
+            row[label_idx] = "c"
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    label = draw(st.sampled_from(["label", label_idx]))
+    minority = draw(st.sampled_from([None, None, None, "a", "b"]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"])), label, minority
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "d.csv"
+
+
+@given(csv_documents())
+@settings(max_examples=400, deadline=None)
+@example(("label,c1\na,1_000\nb,+.5\na,5.\na,-0.0\n", "label", None))
+@example(("c0,label\n5e-324,a\n 7 ,a\n\"8\",b\n", 1, "b"))
+@example(("label\na\nb\na\n", "label", None))
+@example(("c0,label\n", "label", None))
+@example(("", 0, None))
+def test_load_csv_matches_per_cell_reference(csv_path, document):
+    text, label, minority = document
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = reference_load_csv(csv_path, label, minority)
+    except DataError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_csv(csv_path, label, minority)
+        assert str(got.value) == str(exc)
+        return
+    got = load_csv(csv_path, label, minority)
+    assert got.X.shape == expected.X.shape
+    assert np.array_equal(got.X.view(np.int64), expected.X.view(np.int64))
+    assert np.array_equal(got.y, expected.y)
+    assert got.feature_names == expected.feature_names
 
 
 # ---------------------------------------------------------------------------

@@ -376,8 +376,9 @@ def test_penalty_gradient_alone_tanh_code():
 
     # Direct formula at the code layer: d(penalty)/dz_code = lam/n * sign(h) * (1-h^2).
     n = len(batch)
-    z_code = cache.pre_activations[0]
-    h_code = cache.activations[1]
+    pre_activations, activations = cache
+    z_code = pre_activations[0]
+    h_code = activations[1]
     expected_bias = (lam / n) * (np.sign(h_code) * (1 - h_code**2)).sum(axis=0)
     assert np.allclose(_layer_views(with_pen.config, analytic_pen)[1][0], expected_bias, rtol=1e-10)
     assert z_code.shape == h_code.shape
@@ -554,3 +555,18 @@ def test_reconstruction_errors_nonnegative_zero_iff_equal(seed):
     recon, _, _ = forward(model, batch)
     assert np.all(errors >= 0)
     assert np.array_equal(errors == 0, recon == batch)
+
+
+@pytest.mark.parametrize("seed", [7, (7, 8, 9)])
+def test_reconstruction_errors_into_out_match_allocating_call(seed):
+    model = make_model([5, 3, 5], "tanh", "sigmoid", seed=seed)
+    batch = np.random.default_rng(53).uniform(-3, 3, size=model.config.stack_shape + (6, 5))
+    expected = reconstruction_errors(model, batch)
+    recon, _, _ = forward(model, batch)
+    assert np.array_equal(expected.view(np.int64), ((batch - recon) ** 2).view(np.int64))
+    # out may be a view, here into a block of rows of a larger matrix.
+    rows = np.full((batch.size // 5 + 4, 5), np.nan)
+    out = rows[2:-2].reshape(batch.shape)
+    assert reconstruction_errors(model, batch, out=out) is out
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert np.isnan(rows[:2]).all() and np.isnan(rows[-2:]).all()

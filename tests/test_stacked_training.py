@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import refsel.ensemble
 from refsel import (
     DsaeConfig,
     DsaeModel,
@@ -283,3 +284,32 @@ def test_ensemble_names_the_global_component(monkeypatch, parallelism):
     assert info.value.component_index == 3
     assert info.value.exit_code == 3
     assert str(info.value) == "component 3: non-finite activations in layer 1"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4, 5])
+def test_non_finite_scores_name_the_global_component(monkeypatch, parallelism):
+    # Training ends finite; only the scored errors of component 3 are not.
+    data = make_data(n_features=3)
+    cfg = EnsembleConfig(
+        n_components=5,
+        dsae=make_dsae("tanh", "sigmoid", 0.0, widths=(3, 2)),
+        training=TrainingConfig(epochs=1, batch_size=8),
+        master_seed=12,
+        parallelism=parallelism,
+    )
+    failing_seed = component_seeds(cfg.master_seed, 3)[1]
+    real_train = refsel.ensemble.train
+
+    def train_then_blow_up(model, *args, **kwargs):
+        model, history = real_train(model, *args, **kwargs)
+        for position, seed in enumerate(model.config.seeds):
+            if seed == failing_seed:
+                model.biases[-1][position] = np.nan
+        return model, history
+
+    monkeypatch.setattr(refsel.ensemble, "train", train_then_blow_up)
+    with pytest.raises(ComponentError) as info:
+        run_ensemble(data, cfg)
+    assert info.value.component_index == 3
+    assert info.value.exit_code == 3
+    assert str(info.value) == "component 3: non-finite reconstruction errors"
