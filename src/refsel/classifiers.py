@@ -74,6 +74,12 @@ class GaussianNB:
         return p[:, 1] / p.sum(axis=1)
 
 
+def _logistic_probability(X, w, b):
+    """Sigmoid of ``X @ w + b`` with the logit clipped to [-500, 500]; X may be a stack."""
+    z = (X @ w[..., None])[..., 0] + np.asarray(b)[..., None]
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
+
+
 def logistic_grad(w, b, X, y, l2: float):
     """Gradients (grad_w, grad_b) of the penalised mean log-loss.
 
@@ -83,13 +89,11 @@ def logistic_grad(w, b, X, y, l2: float):
     alone, so its bits do not depend on the stack.
 
     Gradient descent needs only these, so ``fit`` skips the loss. The
-    ufuncs below give the same bits as ``np.clip`` and ``np.mean`` with less
-    call overhead per iteration.
+    ufuncs here and in ``_logistic_probability`` give the same bits as
+    ``np.clip`` and ``np.mean`` with less call overhead per iteration.
     """
     n = X.shape[-2]
-    z = (X @ w[..., None])[..., 0] + np.asarray(b)[..., None]
-    p = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
-    residual = p - y
+    residual = _logistic_probability(X, w, b) - y
     grad_w = (X.swapaxes(-1, -2) @ residual[..., None])[..., 0] / n + l2 * w / n
     grad_b = np.add.reduce(residual, axis=-1) / n
     return grad_w, grad_b
@@ -162,9 +166,7 @@ class LogisticRegression:
 
     def predict_scores(self, X) -> np.ndarray:
         """Minority-class probability per row; a stack ``(T, m, d)`` after a stacked fit."""
-        X = np.asarray(X, dtype=np.float64)
-        z = (X @ self.coef_[..., None])[..., 0] + np.asarray(self.intercept_)[..., None]
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        return _logistic_probability(np.asarray(X, dtype=np.float64), self.coef_, self.intercept_)
 
 
 class KNeighbors:

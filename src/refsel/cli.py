@@ -166,7 +166,9 @@ def _write_manifest(cfg: RunConfig, command: str, extra=None):
 
 
 def _selection_filename(dq: float) -> str:
-    return f"selection_delta_{dq:g}.json"
+    """The level in ``:g`` form, or in full where ``:g`` would round it."""
+    text = f"{dq:g}"
+    return f"selection_delta_{text if float(text) == dq else repr(dq)}.json"
 
 
 def _cmd_select(args) -> int:
@@ -215,9 +217,12 @@ def _cmd_benchmark(args) -> int:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds, q = _train(cfg)
     results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
+    # Chi-squared needs non-negative features: rank on the FSDS mapped into
+    # [0, 1], which leaves a unit_interval FSDS unchanged to the bit.
+    unit = LabeledDataset(apply_scaling(fit_scaling(fsds.X, "unit_interval"), fsds.X), fsds.y)
     matched = [
         (r.delta_quantile,
-         chi2_rank(fsds, r.n_selected) if r.n_selected > 0 else r.selected)
+         chi2_rank(unit, r.n_selected) if r.n_selected > 0 else r.selected)
         for r in results
     ]
     protocol = cfg.protocol()

@@ -22,9 +22,9 @@ from .sampling import LabeledDataset, derive_seed, stratified_rows
 
 logger = logging.getLogger(__name__)
 
-# Logistic-regression training stacks stay within this many bytes, the
-# per-core L2 cache of the 2-core machine this was tuned on: one 5.6 MB
-# stack of 200-column trials fit 2.2x slower than the trials one by one.
+# Each chunk of trials gathered for scoring holds at most this many bytes of
+# training data, the per-core L2 cache of the 2-core machine this was tuned
+# on: one 5.6 MB LR stack of 200-column trials fit 2.2x slower than singly.
 LR_STACK_BYTES = 2 * 1024 * 1024
 
 CLASSIFIERS = {
@@ -129,13 +129,6 @@ def chi2_rank(data: LabeledDataset, n_select: int) -> np.ndarray:
     return np.sort(top)
 
 
-def _fit_and_score(name, X_train, y_train, X_test, y_test):
-    model = CLASSIFIERS[name]()
-    model.fit(X_train, y_train)
-    scores = model.predict_scores(X_test)
-    return auroc(scores, y_test), sensitivity(scores, y_test)
-
-
 def _gather(cols_t, rows):
     """``X[rows][:, cols]`` from the column set ``cols_t = X[:, cols].T`` (k, N).
 
@@ -146,36 +139,31 @@ def _gather(cols_t, rows):
     return np.moveaxis(np.take(cols_t, rows, axis=1), 0, -1)
 
 
-def _score_logistic(cols_t, train_rows, test_rows, y_train, y_test):
-    """Fit and score logistic regression for every trial of one column set.
+def _score_chunk(model, x_train, y_train, x_test, y_test):
+    """(auroc, sensitivity) of ``model`` on each trial of one gathered chunk.
 
-    Trials are fit as stacks of at most LR_STACK_BYTES of training data, at
-    least one trial each. Returns the per-trial (auroc, sensitivity) pairs,
-    the total iteration count and the number of fits that converged.
+    Logistic regression fits the whole ``(t, n, k)`` stack at once; the other
+    classifiers fit each trial's slice of it, which has the bits of a
+    per-trial gather.
     """
-    n_trials, n_train = train_rows.shape
-    chunk = max(1, LR_STACK_BYTES // (n_train * cols_t.shape[0] * 8))
-    model = LogisticRegression()
-    results, iterations, converged = [], 0, 0
-    for start in range(0, n_trials, chunk):
-        block = slice(start, start + chunk)
-        model.fit(_gather(cols_t, train_rows[block]), y_train[block])
-        scores = model.predict_scores(_gather(cols_t, test_rows[block]))
-        results += [(auroc(s, y), sensitivity(s, y)) for s, y in zip(scores, y_test[block])]
-        iterations += int(model.n_iter_.sum())
-        converged += int(np.count_nonzero(model.n_iter_ < model.max_iter))
-    return results, iterations, converged
+    if isinstance(model, LogisticRegression):
+        predicted = model.fit(x_train, y_train).predict_scores(x_test)
+    else:
+        predicted = [model.fit(xt, yt).predict_scores(xe)
+                     for xt, yt, xe in zip(x_train, y_train, x_test)]
+    return [(auroc(s, y), sensitivity(s, y)) for s, y in zip(predicted, y_test)]
 
 
 def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) -> EvalReport:
     """Score each selection (plus the all-features baseline) on the held-out set.
 
     Trial t re-splits the rows with seed derive_seed(split_seed, t); one
-    split per trial is shared by every classifier and selection. Selections
-    with no features are skipped with a warning row. Logistic regression is
-    fit for all trials of a column set at once (see ``_score_logistic``);
-    the other classifiers are fit per trial. Rows come out trial-major; each
-    summary is the mean and std of its own entry's trials.
+    split per trial is shared by every classifier and selection. Each column
+    set's trials are gathered once per chunk of at most LR_STACK_BYTES of
+    training data, and every classifier scores that chunk (see
+    ``_score_chunk``). Selections with no features get NaN scores and a
+    warning note. Rows come out trial-major; each summary is the mean and
+    std of its own entry's trials.
     """
     report = EvalReport()
     entries = [(None, np.arange(cds.n_features))]
@@ -203,55 +191,50 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     train_rows = np.array([train for train, _ in splits])
     test_rows = np.array([test for _, test in splits])
     y_train, y_test = cds.y[train_rows], cds.y[test_rows]
-    per_trial = [n for n in protocol.classifiers if n != "logistic_regression"]
-    scores = {}  # (entry index, classifier) -> one (auroc, sensitivity) per trial
-    lr_fits = lr_iterations = lr_converged = 0
+    # (entry index, classifier) -> (trials, 2) of (auroc, sensitivity); NaN if skipped
+    scores = {(e, name): np.full((protocol.trials, 2), np.nan)
+              for e in range(len(entries)) for name in protocol.classifiers}
+    notes, lr_iters = {}, []
     for e, (dq, cols) in enumerate(entries):
         if len(cols) == 0:
             logger.warning("selection at quantile %s is empty; skipping", dq)
+            notes[e] = "empty selection; skipped"
             continue
         cols_t = cds.X[:, cols].T  # the one column gather of this set
-        if "logistic_regression" in protocol.classifiers:
-            scores[e, "logistic_regression"], iterations, converged = _score_logistic(
-                cols_t, train_rows, test_rows, y_train, y_test)
-            lr_fits += protocol.trials
-            lr_iterations += iterations
-            lr_converged += converged
-        if per_trial:
-            for t in range(protocol.trials):
-                xs_tr, xs_te = _gather(cols_t, train_rows[t]), _gather(cols_t, test_rows[t])
-                for name in per_trial:
-                    scores.setdefault((e, name), []).append(
-                        _fit_and_score(name, xs_tr, y_train[t], xs_te, y_test[t]))
-    if lr_fits:
-        logger.info("logistic regression: %d fits, %d iterations, %d converged",
-                    lr_fits, lr_iterations, lr_converged)
+        chunk = max(1, LR_STACK_BYTES // (train_rows.shape[1] * len(cols) * 8))
+        for start in range(0, protocol.trials, chunk):
+            block = slice(start, start + chunk)
+            xs_tr, xs_te = _gather(cols_t, train_rows[block]), _gather(cols_t, test_rows[block])
+            # Fresh models per chunk: a fitted kNN keeps its slice, and so the stack, alive.
+            models = {name: CLASSIFIERS[name]() for name in protocol.classifiers}
+            lr = models.get("logistic_regression")
+            for name, model in models.items():
+                scores[e, name][block] = _score_chunk(
+                    model, xs_tr, y_train[block], xs_te, y_test[block])
+            if lr is not None:
+                lr_iters.append(lr.n_iter_)
+    if lr_iters:
+        n_iter = np.concatenate(lr_iters)
+        logger.info("logistic regression: %d fits, %d iterations, %d converged", n_iter.size,
+                    n_iter.sum(), np.count_nonzero(n_iter < lr.max_iter))
 
     for trial in range(protocol.trials):
         for e, (dq, cols) in enumerate(entries):
             for name in protocol.classifiers:
-                roc, sens = scores[e, name][trial] if len(cols) else (float("nan"),) * 2
+                roc, sens = scores[e, name][trial].tolist()
                 report.rows.append(EvalRow(
                     classifier=name, delta_quantile=dq, trial=trial,
-                    n_features=len(cols), auroc=roc, sensitivity=sens,
-                    note="" if len(cols) else "empty selection; skipped",
+                    n_features=len(cols), auroc=roc, sensitivity=sens, note=notes.get(e, ""),
                 ))
 
     ddof = 1 if protocol.trials > 1 else 0
     for e, (dq, cols) in enumerate(entries):
         for name in protocol.classifiers:
-            if len(cols) == 0:
-                report.summaries.append(EvalSummary(
-                    classifier=name, delta_quantile=dq, n_features=0,
-                    auroc_mean=float("nan"), auroc_std=float("nan"),
-                    sensitivity_mean=float("nan"), sensitivity_std=float("nan"),
-                    note="empty selection; skipped",
-                ))
-                continue
-            rocs, sens = (np.array(v) for v in zip(*scores[e, name]))
+            rocs, sens = scores[e, name].T
             report.summaries.append(EvalSummary(
                 classifier=name, delta_quantile=dq, n_features=len(cols),
                 auroc_mean=float(rocs.mean()), auroc_std=float(rocs.std(ddof=ddof)),
                 sensitivity_mean=float(sens.mean()), sensitivity_std=float(sens.std(ddof=ddof)),
+                note=notes.get(e, ""),
             ))
     return report

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from refsel import make_planted_dataset, save_csv
-from refsel.cli import main
+from refsel.cli import _selection_filename, main
 from refsel.config import DEFAULT_DELTAS, load_run_config
 from refsel.exceptions import UsageError
 
@@ -254,6 +254,33 @@ def test_benchmark_matches_subset_sizes(run_dir):
     for dq, by_method in sizes.items():
         assert by_method["refsel"] == by_method["chi2"], dq
     assert (out_dir / "benchmark_summary.csv").exists()
+
+
+def test_benchmark_ranks_chi2_on_symmetric_unit_scaling(run_dir):
+    # A [-1, 1] selection dataset holds negative values, which chi-squared
+    # rejects; benchmark ranks on it mapped into [0, 1] instead.
+    cfg_path, out_dir = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    text = text.replace("scaling = unit_interval", "scaling = symmetric_unit")
+    cfg_path.write_text(text.replace("tanh-sigmoid", "tanh"), encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path)]) == 0
+    lines = (out_dir / "benchmark_rows.csv").read_text().splitlines()
+    methods = [line.split(",")[0] for line in lines[1:]]
+    assert methods.count("chi2") == methods.count("refsel") == 3 * 2 * 2
+
+
+def test_levels_equal_to_six_digits_write_separate_files(run_dir):
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path),
+                 "--delta", "0.1234561", "--delta", "0.1234562"]) == 0
+    names = sorted(p.name for p in out_dir.glob("selection_delta_*.json"))
+    assert names == ["selection_delta_0.1234561.json", "selection_delta_0.1234562.json"]
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert {s["delta_quantile"] for s in report["summaries"]} == {None, 0.1234561, 0.1234562}
+    # Levels that :g prints exactly keep their short names.
+    assert [_selection_filename(dq) for dq in (0.65, 0.99, 1e-05)] == [
+        "selection_delta_0.65.json", "selection_delta_0.99.json", "selection_delta_1e-05.json"]
 
 
 def test_export_q_shape_and_determinism(run_dir):
