@@ -62,7 +62,7 @@ from .nn import (
     reconstruction_errors,
     train,
 )
-from .sampling import ComponentSplit, LabeledDataset, build_component_split, derive_seed
+from .sampling import LabeledDataset, build_component_split, derive_seed
 from .synthetic import make_planted_dataset
 
 __version__ = "0.1.0"

@@ -176,8 +176,12 @@ def _cmd_select(args) -> int:
     fsds, cds, q = _train(cfg)
     results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
     out = Path(cfg.output_dir)
-    for result in results:
-        save_selection(result, out / _selection_filename(result.delta_quantile))
+    names = [_selection_filename(result.delta_quantile) for result in results]
+    for name, result in zip(names, results):
+        save_selection(result, out / name)
+    for stale in out.glob("selection_delta_*.json"):
+        if stale.name not in names:  # an earlier run's level: evaluate scores every file here
+            stale.unlink()
     write_csv(out / "selection_summary.csv", *selection_summary_table(results))
     if cds is not None:
         save_csv(cds, out / "cds.csv")
@@ -186,17 +190,13 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _load_selections(cfg: RunConfig, args):
+def _cmd_evaluate(args) -> int:
+    cfg = _resolved_config(args)
     directory = Path(args.selections) if args.selections else Path(cfg.output_dir)
     files = sorted(directory.glob("selection_delta_*.json"))
     if not files:
         raise UsageError(f"no selection_delta_*.json files in {directory}")
-    return [load_selection(f) for f in files]
-
-
-def _cmd_evaluate(args) -> int:
-    cfg = _resolved_config(args)
-    selections = _load_selections(cfg, args)
+    selections = [load_selection(f) for f in files]
     selections.sort(key=lambda r: r.delta_quantile)
     cds_path = Path(args.cds) if args.cds else Path(cfg.output_dir) / "cds.csv"
     minority = "1" if args.cds is None else None  # cds.csv written by select uses 1 = minority

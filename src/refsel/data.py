@@ -386,11 +386,14 @@ def load_selection(path) -> SelectionResult:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
+        selected = _field(doc, "selected", (int,), np.int64)
+        if np.any(selected[1:] <= selected[:-1]):
+            raise ValueError("'selected' must be strictly ascending")
         return SelectionResult(
             delta=_field(doc, "delta", dtype=np.float64),
             delta_quantile=_field(doc, "delta_quantile"),
             threshold=_field(doc, "threshold"),
-            selected=_field(doc, "selected", (int,), np.int64),
+            selected=selected,
             l_min=_field(doc, "l_min", dtype=np.float64) if "l_min" in doc else None,
             l_maj=_field(doc, "l_maj", dtype=np.float64) if "l_maj" in doc else None,
         )

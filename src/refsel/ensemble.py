@@ -116,19 +116,19 @@ def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, l
     """
     seeds = [component_seeds(cfg.master_seed, b) for b in indices]
     splits = [build_component_split(data, sample_seed) for sample_seed, _ in seeds]
+    train_rows = np.array([train for train, _ in splits])
+    test_rows = np.array([test for _, test in splits])
     model = DsaeModel.from_config(
         dataclasses.replace(cfg.dsae, seed=tuple(model_seed for _, model_seed in seeds))
     )
-    model, history = train(
-        model, data.X, cfg.training, rows=np.array([split.train_rows for split in splits])
-    )
-    test = data.X[np.array([split.test_rows for split in splits])]
+    model, history = train(model, data.X, cfg.training, rows=train_rows)
+    test = data.X[test_rows]
     # q is a contiguous block of rows, so this reshape is a view of it.
     errors = reconstruction_errors(model, test, out=q.reshape(test.shape))
     finite = np.isfinite(errors).all(axis=(-2, -1))
     if not finite.all():
         raise ComponentError(int(finite.argmin()), NumericError("non-finite reconstruction errors"))
-    labels[:] = np.concatenate([split.test_labels for split in splits])
+    labels[:] = data.y[test_rows].ravel()
     return history[-len(indices):]
 
 

@@ -112,58 +112,18 @@ def stratified_rows(y, train_fraction: float, seed):
     return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
-@dataclass
-class ComponentSplit:
-    """One component's majority-only training set and balanced test set.
+def build_component_split(data: LabeledDataset, component_seed: int):
+    """One component's split: (train_rows, test_rows), row indices into ``data``.
 
-    Both are held as row indices into ``source``, the dataset's matrix, so a
-    split copies no data until ``train`` or ``test`` is read. Test rows are
-    ordered minority first, then the sampled majority rows; consumers must
-    not rely on that order for statistics.
-    """
-
-    source: np.ndarray
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    test_labels: np.ndarray
-
-    @property
-    def train(self) -> np.ndarray:
-        return self.source[self.train_rows]
-
-    @property
-    def test(self) -> np.ndarray:
-        return self.source[self.test_rows]
-
-
-def build_component_split(data: LabeledDataset, component_seed: int) -> ComponentSplit:
-    """Sample one component's split from the imbalanced dataset.
-
-    The test set holds all |O| minority rows plus |O| distinct majority rows
+    The test rows are all |O| minority rows, then |O| distinct majority rows
     drawn uniformly without replacement with ``component_seed``; the training
-    set is the remaining majority rows. Deterministic given (data, seed).
+    rows are the remaining majority rows. Deterministic given (data, seed).
     """
     minority_idx = np.flatnonzero(data.y == 1)
     majority_idx = np.flatnonzero(data.y == 0)
-    n_min, n_maj = len(minority_idx), len(majority_idx)
-    if n_min == 0 or n_maj == 0:
-        raise DataError("both classes must be present")
-    if n_maj <= n_min:
-        raise DataError(
-            f"need more majority than minority rows, got |M|={n_maj} <= |O|={n_min}"
-        )
-
     rng = np.random.default_rng(component_seed)
-    test_maj = rng.choice(majority_idx, size=n_min, replace=False)
+    test_maj = rng.choice(majority_idx, size=len(minority_idx), replace=False)
     in_test = np.zeros(data.n_rows, dtype=bool)
     in_test[test_maj] = True
     train_idx = majority_idx[~in_test[majority_idx]]
-
-    test_idx = np.concatenate([minority_idx, test_maj])
-    labels = np.concatenate([np.ones(n_min, dtype=np.int64), np.zeros(n_min, dtype=np.int64)])
-    return ComponentSplit(
-        source=data.X,
-        train_rows=train_idx,
-        test_rows=test_idx,
-        test_labels=labels,
-    )
+    return train_idx, np.concatenate([minority_idx, test_maj])

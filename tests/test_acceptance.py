@@ -230,9 +230,9 @@ def test_criterion_3_sampling_and_shape_invariants():
         assert int(np.sum(q.labels == 0)) == n_min * b
 
         sample_seed, _ = component_seeds(master, int(rng.integers(b)))
-        split = build_component_split(data, sample_seed)
-        train_ids = set(split.train[:, 0].astype(int))
-        test_maj_ids = set(split.test[n_min:, 0].astype(int))
+        train_rows, test_rows = build_component_split(data, sample_seed)
+        train_ids = set(data.X[train_rows][:, 0].astype(int))
+        test_maj_ids = set(data.X[test_rows][n_min:, 0].astype(int))
         assert train_ids.isdisjoint(test_maj_ids)
         assert len(train_ids) + n_min == n_maj
 

@@ -199,6 +199,19 @@ def test_evaluate_consumes_select_outputs(run_dir):
     assert len(report["summaries"]) == 3 * 2
 
 
+def test_select_removes_an_earlier_runs_selection_files(run_dir):
+    # evaluate scores every selection file in the directory, so a second
+    # select must leave only its own levels beside its own cds.csv.
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    assert main(["select", "--config", str(cfg_path), "--seed", "5", "--delta", "0.5"]) == 0
+    names = [p.name for p in out_dir.glob("selection_delta_*.json")]
+    assert names == ["selection_delta_0.5.json"]
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert {s["delta_quantile"] for s in report["summaries"]} == {None, 0.5}
+
+
 def test_evaluate_with_empty_selection_warns_but_succeeds(run_dir):
     cfg_path, out_dir = run_dir
     assert main(["select", "--config", str(cfg_path)]) == 0
@@ -342,6 +355,7 @@ MALFORMED_SELECTIONS = {
     "selected_is_a_string": lambda doc: json.dumps({**doc, "selected": "ab"}).encode(),
     "ragged_delta": lambda doc: json.dumps({**doc, "delta": [[0.1, 0.2], [0.3]]}).encode(),
     "quantile_is_a_string": lambda doc: json.dumps({**doc, "delta_quantile": "x"}).encode(),
+    "selected_repeats_an_index": lambda doc: json.dumps({**doc, "selected": [2, 2, 0]}).encode(),
 }
 
 

@@ -555,6 +555,7 @@ VALID_SELECTION = {
     ({"l_min": [[1.0]]}, "'l_min' must be a list"),
     ({"delta_quantile": float("nan")}, "'delta_quantile' must be finite"),
     ({"l_maj": [0.9, float("-inf"), 1.1]}, "'l_maj' must be finite"),
+    ({"selected": [2, 2, 0]}, "'selected' must be strictly ascending"),
 ])
 def test_load_selection_rejects_wrong_types(tmp_path, change, message):
     # The malformed files a user is likely to hit are in the CLI exit-code tests.

@@ -36,20 +36,20 @@ def test_dataset_rejects_non_binary_labels():
 
 def test_split_shapes_five_minority_hundred_majority():
     data = tagged_dataset(100, 5)
-    split = build_component_split(data, component_seed=9)
-    assert split.train.shape == (95, 3)
-    assert split.test.shape == (10, 3)
-    assert np.array_equal(split.test_labels, [1] * 5 + [0] * 5)
+    train_rows, test_rows = build_component_split(data, component_seed=9)
+    assert data.X[train_rows].shape == (95, 3)
+    assert data.X[test_rows].shape == (10, 3)
+    assert np.array_equal(data.y[test_rows], [1] * 5 + [0] * 5)
     # Minority rows come first and appear exactly once each.
-    assert sorted(split.test[:5, 0]) == [100, 101, 102, 103, 104]
+    assert sorted(data.X[test_rows][:5, 0]) == [100, 101, 102, 103, 104]
 
 
 def test_split_same_seed_identical():
     data = tagged_dataset(40, 6)
-    s1 = build_component_split(data, component_seed=123)
-    s2 = build_component_split(data, component_seed=123)
-    assert np.array_equal(s1.train, s2.train)
-    assert np.array_equal(s1.test, s2.test)
+    train1, test1 = build_component_split(data, component_seed=123)
+    train2, test2 = build_component_split(data, component_seed=123)
+    assert np.array_equal(data.X[train1], data.X[train2])
+    assert np.array_equal(data.X[test1], data.X[test2])
 
 
 def test_split_insufficient_majority():
@@ -67,8 +67,8 @@ def test_majority_sample_uniformity_monte_carlo():
     counts = np.zeros(6)
     n_seeds = 1000
     for seed in range(n_seeds):
-        split = build_component_split(data, component_seed=derive_seed(99, seed))
-        for row_id in split.test[2:, 0]:
+        train_rows, test_rows = build_component_split(data, component_seed=derive_seed(99, seed))
+        for row_id in data.X[test_rows][2:, 0]:
             counts[int(row_id)] += 1
     freq = counts / n_seeds
     assert np.all(np.abs(freq - 1 / 3) <= 0.05), freq
@@ -83,14 +83,14 @@ def test_majority_sample_uniformity_monte_carlo():
 def test_split_invariants(n_minority, extra_majority, seed):
     n_majority = n_minority + extra_majority
     data = tagged_dataset(n_majority, n_minority)
-    split = build_component_split(data, component_seed=seed)
+    train_rows, test_rows = build_component_split(data, component_seed=seed)
 
-    assert split.train.shape[0] + n_minority == n_majority
-    assert split.test.shape[0] == 2 * n_minority
-    assert int(split.test_labels.sum()) == n_minority
+    assert data.X[train_rows].shape[0] + n_minority == n_majority
+    assert data.X[test_rows].shape[0] == 2 * n_minority
+    assert int(data.y[test_rows].sum()) == n_minority
 
-    train_ids = set(split.train[:, 0].astype(int))
-    test_maj_ids = set(split.test[n_minority:, 0].astype(int))
+    train_ids = set(data.X[train_rows][:, 0].astype(int))
+    test_maj_ids = set(data.X[test_rows][n_minority:, 0].astype(int))
     assert len(test_maj_ids) == n_minority  # distinct rows, no replacement
     assert train_ids.isdisjoint(test_maj_ids)
     assert train_ids | test_maj_ids == set(range(n_majority))
@@ -102,8 +102,8 @@ def test_components_draw_distinct_majority_samples():
     samples = set()
     for b in range(25):
         sample_seed, _ = component_seeds(master_seed=7, component_index=b)
-        split = build_component_split(data, component_seed=sample_seed)
-        samples.add(tuple(sorted(split.test[50:, 0].astype(int))))
+        train_rows, test_rows = build_component_split(data, component_seed=sample_seed)
+        samples.add(tuple(sorted(data.X[test_rows][50:, 0].astype(int))))
     assert len(samples) >= 24
 
 

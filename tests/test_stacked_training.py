@@ -121,11 +121,11 @@ def reference_q(data, cfg):
     blocks, labels = [], []
     for b in range(cfg.n_components):
         sample_seed, model_seed = component_seeds(cfg.master_seed, b)
-        split = build_component_split(data, sample_seed)
-        ws, bs, _ = ref_train(cfg.dsae, model_seed, split.train, cfg.training)
-        _, post = ref_forward(ws, bs, acts, split.test)
-        blocks.append((split.test - post[-1]) ** 2)
-        labels.append(split.test_labels)
+        train_rows, test_rows = build_component_split(data, sample_seed)
+        ws, bs, _ = ref_train(cfg.dsae, model_seed, data.X[train_rows], cfg.training)
+        _, post = ref_forward(ws, bs, acts, data.X[test_rows])
+        blocks.append((data.X[test_rows] - post[-1]) ** 2)
+        labels.append(data.y[test_rows])
     return np.vstack(blocks), np.concatenate(labels)
 
 
