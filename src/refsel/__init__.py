@@ -30,6 +30,7 @@ from .ensemble import (
     run_ensemble,
     select_at_thresholds,
     select_features,
+    stacks,
 )
 from .evaluate import (
     EvalProtocol,

@@ -33,7 +33,7 @@ from .data import (
     selection_summary_table,
     write_csv,
 )
-from .ensemble import component_seeds, run_ensemble, select_at_thresholds
+from .ensemble import component_seeds, q_shape, run_ensemble, select_at_thresholds, stacks
 from .evaluate import chi2_rank, evaluate_selection
 from .exceptions import RefselError, UsageError
 from .sampling import LabeledDataset
@@ -126,12 +126,8 @@ def _load_dataset(cfg: RunConfig) -> LabeledDataset:
     )
 
 
-def _train(cfg: RunConfig):
-    """Load, split and scale the data, then train the ensemble on the FSDS.
-
-    Returns (fsds, cds, q); cds is None without a [split] section. Scaling is
-    fit on the FSDS alone and applied to both sides.
-    """
+def _selection_data(cfg: RunConfig):
+    """(fsds, cds), loaded, split and scaled by a fit on the FSDS; cds is None without [split]."""
     data = _load_dataset(cfg)
     if cfg.split is not None:
         fsds, cds = build_fsds_cds(data, cfg.split)
@@ -150,7 +146,13 @@ def _train(cfg: RunConfig):
         )
     logger.info("selection dataset: %d majority / %d minority rows, %d features",
                 fsds.n_majority, fsds.n_minority, fsds.n_features)
-    return fsds, cds, run_ensemble(fsds, cfg.ensemble_config())
+    return fsds, cds
+
+
+def _q_blocks(fsds: LabeledDataset, cfg: RunConfig):
+    """Q as one block per stack of components, each trained as it is drawn."""
+    ecfg = cfg.ensemble_config()
+    return (run_ensemble(fsds, ecfg, components=stack) for stack in stacks(ecfg))
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
@@ -173,8 +175,8 @@ def _selection_filename(dq: float) -> str:
 
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
-    fsds, cds, q = _train(cfg)
-    results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
+    fsds, cds = _selection_data(cfg)
+    results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
     out = Path(cfg.output_dir)
     names = [_selection_filename(result.delta_quantile) for result in results]
     for name, result in zip(names, results):
@@ -185,7 +187,7 @@ def _cmd_select(args) -> int:
     write_csv(out / "selection_summary.csv", *selection_summary_table(results))
     if cds is not None:
         save_csv(cds, out / "cds.csv")
-    _write_manifest(cfg, "select", extra={"q_shape": list(q.Q.shape)})
+    _write_manifest(cfg, "select", extra={"q_shape": list(q_shape(fsds, cfg.n_components))})
     logger.info("wrote %d selection files to %s", len(results), out)
     return 0
 
@@ -215,8 +217,8 @@ def _cmd_benchmark(args) -> int:
     cfg = _resolved_config(args)
     if cfg.split is None:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
-    fsds, cds, q = _train(cfg)
-    results = select_at_thresholds(q, cfg.delta_quantiles, estimator=cfg.estimator)
+    fsds, cds = _selection_data(cfg)
+    results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
     # Chi-squared needs non-negative features: rank on the FSDS mapped into
     # [0, 1], which leaves a unit_interval FSDS unchanged to the bit.
     unit = LabeledDataset(apply_scaling(fit_scaling(fsds.X, "unit_interval"), fsds.X), fsds.y)
@@ -245,11 +247,12 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_export_q(args) -> int:
     cfg = _resolved_config(args)
-    fsds, _, q = _train(cfg)
+    fsds, _ = _selection_data(cfg)
     out = Path(cfg.output_dir)
-    export_q_csv(q, out / "q_matrix.csv", fsds.feature_names)
-    _write_manifest(cfg, "export-q", extra={"q_shape": list(q.Q.shape)})
-    logger.info("wrote %dx%d error matrix to %s", q.n_rows, q.n_features + 1, out)
+    export_q_csv(_q_blocks(fsds, cfg), out / "q_matrix.csv", fsds.feature_names)
+    rows, n_features = q_shape(fsds, cfg.n_components)
+    _write_manifest(cfg, "export-q", extra={"q_shape": [rows, n_features]})
+    logger.info("wrote %dx%d error matrix to %s", rows, n_features + 1, out)
     return 0
 
 

@@ -17,6 +17,7 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -433,9 +434,13 @@ def report_to_dict(report: EvalReport) -> dict:
             "summaries": [plain(s) for s in report.summaries]}
 
 
-def export_q_csv(q: REMatrix, path, feature_names=None) -> None:
-    """Write the stacked error matrix with its label column (K x (J+1))."""
-    names = feature_names or [f"f{i}" for i in range(q.n_features)]
-    if len(names) != q.n_features:
+def export_q_csv(q, path, feature_names=None) -> None:
+    """Write Q with a label column; q is an REMatrix or its blocks, each let go once written."""
+    blocks = iter([q] if isinstance(q, REMatrix) else q)
+    first = next(blocks)
+    names = feature_names or [f"f{i}" for i in range(first.Q.shape[1])]
+    if len(names) != first.Q.shape[1]:
         raise DataError("feature_names length must match Q columns")
-    write_csv(path, [*names, "label"], _labelled_rows(q.Q, q.labels))
+    first = _labelled_rows(first.Q, first.labels)  # lets the block go once written
+    rest = chain.from_iterable(map(lambda b: _labelled_rows(b.Q, b.labels), blocks))
+    write_csv(path, [*names, "label"], chain(first, rest))

@@ -72,14 +72,6 @@ class REMatrix:
         if n_min != n_maj or n_min + n_maj != len(self.labels):
             raise DataError("Q must hold the same number of rows per class")
 
-    @property
-    def n_rows(self) -> int:
-        return self.Q.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.Q.shape[1]
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -132,14 +124,28 @@ def _train_stack(data: LabeledDataset, cfg: EnsembleConfig, indices: range, q, l
     return history[-len(indices):]
 
 
-def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig) -> REMatrix:
-    """Train all components and stack their test-set reconstruction errors.
+def q_shape(data: LabeledDataset, n_components: int):
+    """(rows, columns) of the error matrix Q: 2|O| test rows per component, J features."""
+    return 2 * data.n_minority * n_components, data.n_features
+
+
+def stacks(cfg: EnsembleConfig, components: range = None):
+    """``components`` (all by default) as the ranges trained together, ``parallelism`` each."""
+    components = range(cfg.n_components) if components is None else components
+    return (components[i:i + cfg.parallelism] for i in range(0, len(components), cfg.parallelism))
+
+
+def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig, components: range = None) -> REMatrix:
+    """Train components and stack their test-set reconstruction errors.
+
+    The result holds the rows of Q of ``components``, consecutive indices (all by
+    default); called once per range of ``stacks(cfg)``, it gives Q block by block.
 
     Components are trained ``cfg.parallelism`` at a time as one stacked
     model, stack after stack. The result is bit-identical for any
-    parallelism level: component seeds depend only on (master_seed,
-    component index), each component keeps its own initialisation and
-    shuffle, and rows are written in component order.
+    parallelism level and any split into calls: component seeds depend only
+    on (master_seed, component index), each component keeps its own
+    initialisation and shuffle, and rows are written in component order.
 
     A failure raises ComponentError naming, in the first failing stack, the
     lowest-index component that is non-finite at the first failing step (or
@@ -149,49 +155,60 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig) -> REMatrix:
         raise ShapeError(
             f"model expects {cfg.dsae.n_features} features, dataset has {data.n_features}"
         )
+    components = range(cfg.n_components) if components is None else components
+    rows, n_features = q_shape(data, cfg.n_components)
     m = 2 * data.n_minority  # test rows per component
     try:
-        q = np.empty((m * cfg.n_components, data.n_features))
-        labels = np.empty(m * cfg.n_components, dtype=np.int64)
-    except (MemoryError, ValueError) as exc:  # ValueError: a byte size beyond the address space
-        raise ParameterError(
-            f"cannot allocate the {m * cfg.n_components} x {data.n_features} error matrix "
-            f"of {cfg.n_components} components: {exc}"
-        ) from None
+        if rows * n_features * 8 > 2**47:  # all of Q, even for a block: 128 TiB, the
+            raise MemoryError("over 2**47 bytes")  # user address space of a 48-bit CPU
+        q = np.empty((m * len(components), n_features))
+        labels = np.empty(m * len(components), dtype=np.int64)
+    except MemoryError as exc:
+        raise ParameterError(f"cannot allocate the {rows} x {n_features} error matrix "
+                             f"of {cfg.n_components} components: {exc}") from None
     final_losses = []
-    for start in range(0, cfg.n_components, cfg.parallelism):
-        stack = range(start, min(start + cfg.parallelism, cfg.n_components))
-        block = slice(m * start, m * stack.stop)
+    for stack in stacks(cfg, components):
+        block = slice(m * (stack.start - components.start), m * (stack.stop - components.start))
         try:
             final_losses += _train_stack(data, cfg, stack, q[block], labels[block])
         except ComponentError as exc:  # its index is a position in the stack
-            raise ComponentError(start + exc.component_index, exc.__cause__) from exc.__cause__
+            raise ComponentError(stack.start + exc.component_index, exc.__cause__) \
+                from exc.__cause__
         except RefselError as exc:
-            raise ComponentError(start, exc) from exc
+            raise ComponentError(stack.start, exc) from exc
 
     if final_losses:
         logger.info(
             "trained %d components in stacks of %d; last-epoch loss min %.6g, "
-            "median %.6g, max %.6g", cfg.n_components, min(cfg.parallelism, cfg.n_components),
+            "median %.6g, max %.6g", len(components), min(cfg.parallelism, len(components)),
             min(final_losses), np.median(final_losses), max(final_losses),
         )
     return REMatrix(Q=q, labels=labels)
 
 
-def class_mean_re(q: REMatrix, estimator: str = "mean"):
-    """Per-feature central error for each class: (minority, majority).
+def class_mean_re(q, estimator: str = "mean"):
+    """Per-feature "mean" (default) or "median" error of each class: (minority, majority).
 
-    ``estimator`` is "mean" (default) or "median".
+    ``q`` is an REMatrix or an iterable of its blocks. As ``np.mean`` sums row by row,
+    each block's first row takes the running sum; one column it sums pairwise, so whole.
     """
-    if estimator == "mean":
-        agg = np.mean
-    elif estimator == "median":
-        agg = np.median
-    else:
+    if estimator not in ("mean", "median"):
         raise ParameterError(f"unknown estimator {estimator!r}")
-    l_min = agg(q.Q[q.labels == 1], axis=0)
-    l_maj = agg(q.Q[q.labels == 0], axis=0)
-    return l_min, l_maj
+    sums, counts, kept = [np.float64(-0.0)] * 2, [0, 0], ([], [])  # -0.0 + x is x
+    for block in [q] if isinstance(q, REMatrix) else q:
+        for c in (0, 1):
+            rows = block.Q[block.labels == c]
+            counts[c] += len(rows)
+            if estimator == "median" or rows.shape[1] == 1:
+                kept[c].append(rows)
+            elif len(rows):
+                rows[0] += sums[c]
+                sums[c] = np.add.reduce(rows, axis=0)
+        del block, rows  # not held while the next block is drawn (and trained)
+    if kept[0]:
+        agg = np.median if estimator == "median" else np.mean
+        return tuple(agg(np.concatenate(kept[c]), axis=0) for c in (1, 0))
+    return sums[1] / counts[1], sums[0] / counts[0]
 
 
 def delta_re(l_min, l_maj) -> np.ndarray:
@@ -237,8 +254,8 @@ def select_features(delta, delta_quantile: float, l_min=None, l_maj=None) -> Sel
     )
 
 
-def select_at_thresholds(q: REMatrix, delta_quantiles, estimator: str = "mean"):
-    """One SelectionResult per quantile level, all from the same class means.
+def select_at_thresholds(q, delta_quantiles, estimator: str = "mean"):
+    """One SelectionResult per quantile level, all from ``class_mean_re(q, estimator)``.
 
     Results are nested: a higher quantile level never selects a feature a
     lower one rejected. Class errors that overflow raise NumericError.

@@ -296,25 +296,28 @@ def forward(model: DsaeModel, batch):
     return activations[-1], code, (pre_activations, activations)
 
 
-def _check_finite(activations: list) -> None:
+def _check_finite(activations: list, model: DsaeModel, state: AdamState = None) -> None:
     """Raise NumericError naming the first layer with a non-finite activation.
 
-    ``activations`` is the forward cache's list, the input batch first. In a
-    stack the error names the lowest-index model that has one, as a
-    ComponentError carrying that model's position in the stack.
+    ``activations`` is the forward cache's list, the input batch first. In a stack
+    the error names the lowest-index model that has one, as a ComponentError
+    carrying that model's position in the stack. If its Adam moment ``m`` is
+    finite, so was every gradient, and its non-finite parameters blame Adam.
     """
     if all(np.isfinite(a).all() for a in activations[1:]):
         return
     bad = np.array([~np.isfinite(a).all(axis=(-2, -1)) for a in activations[1:]])
-    if bad.ndim == 1:
-        raise NumericError(f"non-finite activations in layer {bad.argmax()}")
-    s = int(bad.any(axis=0).argmax())
-    raise ComponentError(s, NumericError(f"non-finite activations in layer {bad[:, s].argmax()}"))
+    at = (int(bad.any(axis=0).argmax()),) if bad.ndim > 1 else ()
+    finite_grads = state is not None and np.isfinite(state.m[at]).all()
+    error = NumericError("non-finite parameters after Adam step"
+                         if finite_grads and not np.isfinite(model.params[at]).all()
+                         else f"non-finite activations in layer {bad[(..., *at)].argmax()}")
+    raise ComponentError(at[0], error) if at else error
 
 
-def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: tuple):
+def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: tuple, state: AdamState = None):
     _, activations = cache
-    _check_finite(activations)
+    _check_finite(activations, model, state)
     recon = activations[-1]
     code = activations[len(model.config.encoder_layers)]
     lead = model.config.stack_shape
@@ -431,7 +434,7 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
             for start in range(0, n, batch_size):
                 xb = x[epoch_rows[..., start : start + batch_size]]
                 _, _, cache = forward(model, xb)
-                total, _, _ = _loss_from_cache(model, xb, cache)
+                total, _, _ = _loss_from_cache(model, xb, cache, state)
                 grads = backward(model, xb, cache)
                 adam_step(model, grads, state, cfg)
                 epoch_loss += total * xb.shape[-2]

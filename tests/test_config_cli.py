@@ -4,8 +4,10 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+import refsel.ensemble
 from refsel import make_planted_dataset, save_csv
 from refsel.cli import _selection_filename, main
 from refsel.config import DEFAULT_DELTAS, load_run_config
@@ -525,3 +527,39 @@ def test_diverging_run_raises_no_runtime_warning(tmp_path, epochs):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["select", "--config", str(cfg_path)]) == 3
+
+
+def test_divergence_inside_adam_is_blamed_on_adam(tmp_path, capsys):
+    # Adam's second moment overflows on finite gradients and makes the weights
+    # non-finite; the next forward pass is the first to see them.
+    cfg_path = diverging_config(tmp_path, "1e100", epochs=3)
+    assert main(["select", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: component 0: non-finite parameters after Adam step" in err
+    assert "activations" not in err
+
+
+def test_late_failure_leaves_earlier_outputs_untouched(run_dir, monkeypatch, capsys):
+    # The second stack fails after the first was streamed into the Q export.
+    cfg_path, out_dir = run_dir
+    for command in ("select", "export-q"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    score = refsel.ensemble.reconstruction_errors
+    calls = []
+
+    def second_stack_nan(*args, **kwargs):
+        errors = score(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            errors[...] = np.nan
+        return errors
+
+    monkeypatch.setattr(refsel.ensemble, "reconstruction_errors", second_stack_nan)
+    for command in ("export-q", "select"):
+        calls.clear()
+        assert main([command, "--config", str(cfg_path), "--parallelism", "1"]) == 3
+        assert "component 1: non-finite reconstruction errors" in capsys.readouterr().err
+        assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    assert not list(out_dir.glob(".q_matrix.csv.*.tmp"))

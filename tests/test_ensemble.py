@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import refsel.ensemble
 from refsel import (
     DsaeConfig,
     EnsembleConfig,
@@ -19,6 +20,7 @@ from refsel import (
     run_ensemble,
     select_at_thresholds,
     select_features,
+    stacks,
 )
 from refsel.exceptions import ComponentError, DataError, NumericError, ParameterError, ShapeError
 from refsel.nn import layers_from_widths
@@ -74,6 +76,45 @@ def test_parallelism_levels_bit_identical():
     q8 = run_ensemble(data, dataclasses.replace(base, parallelism=8))
     assert np.array_equal(q1.Q, q8.Q)
     assert np.array_equal(q1.labels, q8.labels)
+
+
+def test_run_ensemble_logs_the_last_epoch_losses(caplog):
+    with caplog.at_level("INFO", logger="refsel.ensemble"):
+        run_ensemble(make_data(30, 5), make_ensemble_config(n_components=3, parallelism=2))
+    assert "trained 3 components in stacks of 2; last-epoch loss" in caplog.text
+
+
+@pytest.mark.parametrize("parallelism, sizes", [(1, [1] * 5), (2, [2, 2, 1]), (4, [4, 1])])
+def test_blocks_of_stacks_equal_the_whole_matrix(parallelism, sizes):
+    data = make_data(30, 5)
+    cfg = make_ensemble_config(n_components=5, parallelism=parallelism)
+    ranges = list(stacks(cfg))
+    assert [len(r) for r in ranges] == sizes
+    assert [b for r in ranges for b in r] == list(range(5))
+    blocks = [run_ensemble(data, cfg, components=r) for r in ranges]
+    whole = run_ensemble(data, cfg)
+    assert np.concatenate([b.Q for b in blocks]).tobytes() == whole.Q.tobytes()
+    assert np.array_equal(np.concatenate([b.labels for b in blocks]), whole.labels)
+    for estimator in ("mean", "median"):
+        streamed = class_mean_re(iter(blocks), estimator)
+        assert [v.tobytes() for v in streamed] == [
+            v.tobytes() for v in class_mean_re(whole, estimator)]
+
+
+def test_component_error_names_the_index_in_the_whole_ensemble(monkeypatch):
+    score = refsel.ensemble.reconstruction_errors
+
+    def second_of_stack_nan(*args, **kwargs):
+        errors = score(*args, **kwargs)
+        errors[1] = np.nan
+        return errors
+
+    monkeypatch.setattr(refsel.ensemble, "reconstruction_errors", second_of_stack_nan)
+    cfg = make_ensemble_config(n_components=4, parallelism=2)
+    for components, index in ((None, 1), (range(2, 4), 3)):
+        with pytest.raises(ComponentError, match="non-finite reconstruction errors") as exc:
+            run_ensemble(make_data(30, 5), cfg, components=components)
+        assert exc.value.component_index == index
 
 
 def test_rows_grouped_by_component_minority_first():
@@ -164,6 +205,35 @@ def test_delta_examples():
     assert np.array_equal(delta_re(a, b), np.array([x - y for x, y in zip(a, b)]))
     with pytest.raises(ShapeError):
         delta_re([1.0, 2.0], [1.0])
+
+
+# Magnitudes up to 1e300, so class sums overflow to inf; -0.0 passes the
+# non-negativity check and is its own sum.
+ERRORS = st.one_of(st.just(-0.0), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_streamed_class_means_equal_np_mean_bit_for_bit(data):
+    # Contiguous blocks of whole components: each holds as many rows of each class.
+    n_features = data.draw(st.integers(1, 5))
+    halves = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=6).filter(any))
+    blocks = []
+    for n in halves:
+        q = data.draw(st.lists(st.lists(ERRORS, min_size=n_features, max_size=n_features),
+                               min_size=2 * n, max_size=2 * n))
+        labels = data.draw(st.permutations([1] * n + [0] * n))
+        blocks.append(REMatrix(Q=np.array(q).reshape(2 * n, n_features), labels=labels))
+    q = np.concatenate([b.Q for b in blocks])
+    labels = np.concatenate([b.labels for b in blocks])
+    original = q.tobytes()
+    with np.errstate(over="ignore"):
+        streamed = class_mean_re(iter(blocks))
+        whole = class_mean_re(REMatrix(Q=q, labels=labels))
+        expected = [np.mean(q[labels == c], axis=0) for c in (1, 0)]
+    for got in (streamed, whole):
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+    assert np.concatenate([b.Q for b in blocks]).tobytes() == original
 
 
 # ---------------------------------------------------------------------------

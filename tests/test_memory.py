@@ -7,8 +7,12 @@ counts every array it allocates and is the same on every run.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from refsel import DsaeConfig, DsaeModel, LabeledDataset, load_csv, reconstruction_errors, save_csv
+from refsel import (
+    DsaeConfig, DsaeModel, LabeledDataset, REMatrix, class_mean_re, export_q_csv, load_csv,
+    reconstruction_errors, save_csv,
+)
 from refsel.nn import layers_from_widths
 
 
@@ -50,3 +54,61 @@ def test_scoring_peak_is_within_four_batches():
     errors, peak = traced_peak(lambda: reconstruction_errors(model, batch, out=out))
     assert errors is out
     assert peak <= 4 * batch.nbytes
+
+
+RUN_CONFIG = """
+[data]
+path = {data}
+label = label
+[ensemble]
+components = 4
+parallelism = 2
+encoder = 20-8
+encoder_activations = tanh
+decoder = 8-20
+decoder_activations = sigmoid
+[training]
+epochs = 1
+batch_size = 64
+[selection]
+deltas = 0.5,0.9
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+def test_streamed_peak_does_not_grow_with_components(tmp_path, command):
+    from refsel import make_planted_dataset
+    from refsel.cli import main
+
+    data, _ = make_planted_dataset(200, 40, 20, n_planted=4, shift=2.0, seed=5)
+    save_csv(data, tmp_path / "d.csv")
+    config = tmp_path / "run.ini"
+    config.write_text(RUN_CONFIG.format(data=tmp_path / "d.csv", out=tmp_path / "out"),
+                      encoding="utf-8")
+    peaks = {}
+    for components in (4, 16):
+        argv = [command, "--config", str(config), "--components", str(components)]
+        code, peaks[components] = traced_peak(lambda: main(argv))
+        assert code == 0
+    # One stack: two components of 2|O| = 80 rows, errors and labels.
+    block = 2 * 80 * (20 + 1) * 8
+    assert peaks[16] - peaks[4] < block
+
+
+def fresh_blocks(n_blocks, rows=1000, n_features=20):
+    """Blocks of Q made as they are drawn, as a streamed run trains them."""
+    for _ in range(n_blocks):
+        yield REMatrix(Q=np.ones((rows, n_features)), labels=np.repeat([1, 0], rows // 2))
+
+
+@pytest.mark.parametrize("consume", [
+    lambda blocks, path: class_mean_re(blocks),
+    lambda blocks, path: export_q_csv(blocks, path),
+], ids=["class_mean_re", "export_q_csv"])
+def test_consumers_let_each_block_go_before_drawing_the_next(tmp_path, consume):
+    peaks = {n: traced_peak(lambda: consume(fresh_blocks(n), tmp_path / "q.csv"))[1]
+             for n in (1, 4)}
+    # A block still held while the next is drawn would add a whole block (160 kB).
+    assert peaks[4] - peaks[1] < 1000 * 20 * 8 // 4
