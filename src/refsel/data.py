@@ -200,12 +200,10 @@ def load_idx_images(images_path, labels_path, class_pair, counts=None) -> Labele
         raise FormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat = images.reshape(images.shape[0], -1)
 
-    x_parts, y_parts = [], []
-    for target, (value, cap) in enumerate(
-        zip(class_pair, counts if counts is not None else (None, None))
-    ):
+    kept = []
+    for value, cap in zip(class_pair, counts if counts is not None else (None, None)):
         idx = np.flatnonzero(labels == value)
         if len(idx) == 0:
             raise DataError(f"no rows with label {value!r}")
@@ -215,12 +213,14 @@ def load_idx_images(images_path, labels_path, class_pair, counts=None) -> Labele
                     f"label {value!r} has {len(idx)} rows, fewer than requested {cap}"
                 )
             idx = idx[:cap]
-        x_parts.append(flat[idx])
-        y_parts.append(np.full(len(idx), target, dtype=np.int64))
+        kept.append(idx)
 
+    # Only the kept rows are converted; uint8 -> float64 is exact.
     names = [f"px{i}" for i in range(flat.shape[1])]
     return LabeledDataset(
-        X=np.vstack(x_parts), y=np.concatenate(y_parts), feature_names=names
+        X=flat[np.concatenate(kept)].astype(np.float64),
+        y=np.repeat(np.arange(2, dtype=np.int64), [len(idx) for idx in kept]),
+        feature_names=names,
     )
 
 

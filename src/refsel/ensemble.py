@@ -180,8 +180,9 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig, components: range = 
     if final_losses:
         logger.info(
             "trained %d components in stacks of %d; last-epoch loss min %.6g, "
-            "median %.6g, max %.6g", len(components), min(cfg.parallelism, len(components)),
-            min(final_losses), np.median(final_losses), max(final_losses),
+            "median %.6g, max %.6g (components %d-%d)", len(components),
+            min(cfg.parallelism, len(components)), min(final_losses), np.median(final_losses),
+            max(final_losses), components.start, components.stop - 1,
         )
     return REMatrix(Q=q, labels=labels)
 

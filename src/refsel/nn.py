@@ -27,44 +27,32 @@ from .exceptions import ComponentError, DataError, NumericError, ParameterError,
 
 logger = logging.getLogger(__name__)
 
-ACTIVATIONS = ("tanh", "relu", "sigmoid", "linear")
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows. Per element these are the operations of
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so the bits match
+    # evaluating each branch on its own half: as e <= 1, the maximum is the
+    # numerator, 1 where z >= 0 and e elsewhere (NaN passes through). ``out=``
+    # keeps a 0-d z an array rather than a scalar.
+    e = np.abs(z, out=np.empty_like(z))
+    np.exp(np.negative(e, out=e), out=e)
+    d = np.add(1.0, e, out=np.empty_like(z))
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=d)
+
+
+# Each activation's function of the pre-activation z and its derivative, the
+# latter in terms of z and the output a. The relu subgradient at 0 is 0.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
+    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        # exp(-|z|) never overflows. Per element these are the operations of
-        # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so the bits
-        # match evaluating each branch on its own half. Both branches are
-        # computed in place in two buffers besides z; ``out=`` also keeps a
-        # 0-d z an array rather than a scalar.
-        e = np.abs(z, out=np.empty_like(z))
-        np.exp(np.negative(e, out=e), out=e)
-        d = np.add(1.0, e, out=np.empty_like(z))
-        np.divide(e, d, out=e)
-        np.divide(1.0, d, out=d)
-        np.copyto(d, e, where=~(z >= 0))
-        return d
-    if name == "linear":
-        return z
-    raise ParameterError(f"unknown activation {name!r}")
-
-
-def _activate_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, expressed via pre-activation z and output a."""
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        # Subgradient at 0 is taken as 0.
-        return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "linear":
-        return np.ones_like(z)
-    raise ParameterError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name][0](z)
 
 
 @dataclass(frozen=True)
@@ -78,10 +66,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.input_width < 1 or self.output_width < 1:
             raise ParameterError("layer widths must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(
-                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
-            )
+        if self.activation not in _ACTIVATIONS:
+            raise ParameterError(f"unknown activation {self.activation!r}; "
+                                 f"expected one of {tuple(_ACTIVATIONS)}")
 
 
 @dataclass(frozen=True)
@@ -360,9 +347,8 @@ def backward(model: DsaeModel, batch, cache: tuple) -> np.ndarray:
     for k in range(len(layers) - 1, -1, -1):
         if k == code_index and lam != 0.0:
             grad_a = grad_a + (lam / n) * np.sign(activations[k + 1])
-        grad_z = grad_a * _activate_prime(
-            layers[k].activation, pre_activations[k], activations[k + 1]
-        )
+        prime = _ACTIVATIONS[layers[k].activation][1]
+        grad_z = grad_a * prime(pre_activations[k], activations[k + 1])
         np.matmul(grad_z.swapaxes(-1, -2), activations[k], out=grad_w[k])
         np.sum(grad_z, axis=-2, out=grad_b[k])
         if k > 0:

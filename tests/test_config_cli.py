@@ -187,6 +187,16 @@ def test_cli_overrides_change_manifest(run_dir):
     assert len(list(out_dir.glob("selection_delta_*.json"))) == 1
 
 
+def test_select_loss_lines_name_each_stacks_components(run_dir, caplog):
+    cfg_path, _ = run_dir
+    with caplog.at_level("INFO", logger="refsel.ensemble"):
+        assert main(["select", "--config", str(cfg_path),
+                     "--components", "5", "--parallelism", "2"]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "refsel.ensemble"]
+    assert [line.rsplit(" (", 1)[-1] for line in lines] == [
+        "components 0-1)", "components 2-3)", "components 4-4)"]
+
+
 def test_evaluate_consumes_select_outputs(run_dir):
     cfg_path, out_dir = run_dir
     assert main(["select", "--config", str(cfg_path)]) == 0

@@ -1,9 +1,10 @@
-"""Peak-memory gates for CSV ingest and scoring.
+"""Peak-memory gates for CSV and IDX ingest and scoring.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it allocates and is the same on every run.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from refsel import (
     DsaeConfig, DsaeModel, LabeledDataset, REMatrix, class_mean_re, export_q_csv, load_csv,
-    reconstruction_errors, save_csv,
+    load_idx_images, reconstruction_errors, save_csv,
 )
 from refsel.nn import layers_from_widths
 
@@ -39,6 +40,21 @@ def test_load_csv_peak_is_within_twice_the_matrix(tmp_path):
     data, peak = traced_peak(lambda: load_csv(tmp_path / "d.csv", label="label"))
     assert data.X.shape == (4000, 200)
     assert peak <= 2 * data.X.nbytes
+
+
+def test_load_idx_converts_only_the_kept_rows(tmp_path):
+    images = np.random.default_rng(3).integers(0, 256, size=(4000, 28, 28), dtype=np.uint8)
+    labels = (np.arange(4000) % 10).astype(np.uint8)
+    (tmp_path / "images.idx").write_bytes(
+        struct.pack(">IIII", 0x00000803, *images.shape) + images.tobytes())
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 0x00000801, 4000) + labels.tobytes())
+    data, peak = traced_peak(lambda: load_idx_images(
+        tmp_path / "images.idx", tmp_path / "labels.idx", (1, 7), counts=(300, 30)))
+    kept = np.concatenate([images[labels == 1][:300], images[labels == 7][:30]])
+    assert np.array_equal(data.X, kept.reshape(330, 784))
+    assert data.y.tolist() == [0] * 300 + [1] * 30
+    # All images as float64 would be 25 MB; the file itself is 3 MB.
+    assert peak < images.size * 8
 
 
 def test_scoring_peak_is_within_four_batches():

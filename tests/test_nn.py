@@ -6,6 +6,7 @@ hand-unrolled Adam recurrence.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,9 @@ def make_model(widths, encoder_acts, decoder_acts, l1_penalty=0.0, seed=0):
 # Config and model validation
 
 def test_layer_spec_rejects_unknown_activation():
-    with pytest.raises(ParameterError):
+    message = ("unknown activation 'softmax'; "
+               "expected one of ('tanh', 'relu', 'sigmoid', 'linear')")
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         LayerSpec(2, 3, "softmax")
 
 
