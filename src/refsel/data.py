@@ -301,12 +301,14 @@ def apply_scaling(params: ScalingParams, matrix) -> np.ndarray:
     x = np.asarray(matrix, dtype=np.float64)
     span = params.maximums - params.minimums
     lo, hi = params.target_range
-    midpoint = (lo + hi) / 2.0
+    # One new buffer, scaled in place; ``matrix`` is left as it was.
+    scaled = np.subtract(x, params.minimums)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = (x - params.minimums) / span
-    scaled = lo + unit * (hi - lo)
-    scaled = np.where(span == 0, midpoint, scaled)
-    return np.clip(scaled, lo, hi)
+        scaled /= span
+    scaled *= hi - lo
+    scaled += lo
+    scaled[..., span == 0] = (lo + hi) / 2.0
+    return np.clip(scaled, lo, hi, out=scaled)
 
 
 def invert_scaling(params: ScalingParams, scaled) -> np.ndarray:

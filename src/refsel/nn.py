@@ -27,32 +27,39 @@ from .exceptions import ComponentError, DataError, NumericError, ParameterError,
 
 logger = logging.getLogger(__name__)
 
+# Rows per slice of the element-wise passes that finish reconstruction_errors.
+SCORE_ROWS = 256
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+
+def _sigmoid(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     # exp(-|z|) never overflows. Per element these are the operations of
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so the bits match
     # evaluating each branch on its own half: as e <= 1, the maximum is the
     # numerator, 1 where z >= 0 and e elsewhere (NaN passes through). ``out=``
-    # keeps a 0-d z an array rather than a scalar.
+    # keeps a 0-d z an array rather than a scalar; z is last read by the mask,
+    # so ``out`` may be z.
     e = np.abs(z, out=np.empty_like(z))
     np.exp(np.negative(e, out=e), out=e)
     d = np.add(1.0, e, out=np.empty_like(z))
     np.maximum(e, z >= 0, out=e)
-    return np.divide(e, d, out=d)
+    return np.divide(e, d, out=d if out is None else out)
 
 
-# Each activation's function of the pre-activation z and its derivative, the
-# latter in terms of z and the output a. The relu subgradient at 0 is 0.
+# Each activation's function of the pre-activation z, written into ``out``
+# (which may be z) when given, and its derivative in terms of z and the
+# output a. The relu subgradient at 0 is 0.
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda z, a: (z > 0.0).astype(np.float64)),
     "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
-    "linear": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "linear": (lambda z, out=None: z if out is None else np.positive(z, out=out),
+               lambda z, a: np.ones_like(z)),
 }
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    return _ACTIVATIONS[name][0](z)
+def _activate(name: str, z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    return _ACTIVATIONS[name][0](z, out=out)
 
 
 @dataclass(frozen=True)
@@ -433,14 +440,29 @@ def reconstruction_errors(model: DsaeModel, test_matrix, out=None) -> np.ndarray
     """Element-wise squared reconstruction error, one row per observation.
 
     Only the current layer's activation is kept, never a forward cache. With
-    ``out``, an array of the batch's shape, the errors are written into it
-    and it is returned; otherwise a new array is. Overflow is silent here:
-    the result may hold inf or NaN, for the caller to check.
+    ``out``, an array of the batch's shape that does not overlap it, the
+    errors are written into it and it is returned; otherwise a new array is.
+    Overflow is silent here: the result may hold inf or NaN, for the caller
+    to check.
     """
     x = _as_batch(model, test_matrix)
+    *hidden, last = model.config.layers
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a = x
-        for k, spec in enumerate(model.config.layers):
-            a = _activate(spec.activation, _pre_activation(model, k, a))
-        errors = np.subtract(x, a, out=out)
-        return np.square(errors, out=errors)
+        for k, spec in enumerate(hidden):
+            a = _pre_activation(model, k, a)
+            a = _activate(spec.activation, a, out=a)
+        # One matmul over all rows: BLAS results can change with the row count.
+        out = np.matmul(a, model.weights[-1].swapaxes(-1, -2), out=out)
+        del a
+        # The rest is element-wise, so slicing the rows keeps every bit and
+        # bounds the sigmoid's scratch arrays by one slice.
+        bias = model.biases[-1][..., None, :]
+        for start in range(0, x.shape[-2], SCORE_ROWS):
+            rows = np.s_[..., start:start + SCORE_ROWS, :]
+            z = out[rows]
+            z += bias
+            _activate(last.activation, z, out=z)
+            np.subtract(x[rows], z, out=z)
+            np.square(z, out=z)
+    return out

@@ -437,6 +437,31 @@ def test_scaling_clips_later_data_into_range(seed, mode):
     assert np.all(out >= lo) and np.all(out <= hi)
 
 
+def reference_scaling(params, matrix):
+    """The out-of-place formula: constant columns by np.where, then np.clip."""
+    span = params.maximums - params.minimums
+    lo, hi = params.target_range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = (matrix - params.minimums) / span
+    return np.clip(np.where(span == 0, (lo + hi) / 2.0, lo + unit * (hi - lo)), lo, hi)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["unit_interval", "symmetric_unit"]))
+@settings(max_examples=50, deadline=None)
+def test_scaling_equals_reference_formula_bit_for_bit(seed, mode):
+    rng = np.random.default_rng(seed)
+    train = rng.normal(size=(10, 5))
+    train[:, [1, 4]] = rng.normal(size=2)  # constant columns
+    later = np.concatenate([train, rng.normal(scale=50.0, size=(20, 5))])
+    later[3, 1] = train[0, 1] + 1.0  # a constant column off its fitted value
+    before = later.copy()
+    params = fit_scaling(train, mode)
+    out = apply_scaling(params, later)
+    assert np.array_equal(out.view(np.int64), reference_scaling(params, later).view(np.int64))
+    # The input is not scaled in place: the benchmark command scales it twice.
+    assert np.array_equal(later.view(np.int64), before.view(np.int64))
+
+
 def test_scaling_round_trip():
     rng = np.random.default_rng(9)
     train = rng.uniform(-3, 7, size=(30, 4))

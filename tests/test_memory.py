@@ -1,4 +1,4 @@
-"""Peak-memory gates for CSV and IDX ingest and scoring.
+"""Peak-memory gates for CSV and IDX ingest, scaling and scoring.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it allocates and is the same on every run.
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from refsel import (
-    DsaeConfig, DsaeModel, LabeledDataset, REMatrix, class_mean_re, export_q_csv, load_csv,
-    load_idx_images, reconstruction_errors, save_csv,
+    DsaeConfig, DsaeModel, LabeledDataset, REMatrix, apply_scaling, class_mean_re, export_q_csv,
+    fit_scaling, load_csv, load_idx_images, reconstruction_errors, save_csv,
 )
 from refsel.nn import layers_from_widths
 
@@ -57,7 +57,7 @@ def test_load_idx_converts_only_the_kept_rows(tmp_path):
     assert peak < images.size * 8
 
 
-def test_scoring_peak_is_within_four_batches():
+def test_scoring_peak_is_within_one_batch():
     # q_heavy's architecture, scored on one stack of two components.
     config = DsaeConfig(
         encoder_layers=layers_from_widths([200, 64, 16], "tanh"),
@@ -69,7 +69,17 @@ def test_scoring_peak_is_within_four_batches():
     out = np.empty_like(batch)
     errors, peak = traced_peak(lambda: reconstruction_errors(model, batch, out=out))
     assert errors is out
-    assert peak <= 4 * batch.nbytes
+    # Hidden activations and one row slice's scratch; the errors go into out.
+    assert peak <= batch.nbytes
+
+
+def test_scaling_peak_is_one_matrix():
+    rng = np.random.default_rng(5)
+    params = fit_scaling(rng.uniform(size=(100, 200)), "symmetric_unit")
+    matrix = rng.normal(size=(3000, 200))
+    scaled, peak = traced_peak(lambda: apply_scaling(params, matrix))
+    assert scaled.shape == matrix.shape
+    assert peak <= 1.1 * matrix.nbytes
 
 
 RUN_CONFIG = """

@@ -28,7 +28,7 @@ from refsel import (
     train,
 )
 from refsel.exceptions import DataError, NumericError, ParameterError, ShapeError
-from refsel.nn import _activate, _layer_views, layers_from_widths
+from refsel.nn import SCORE_ROWS, _activate, _layer_views, layers_from_widths
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +248,14 @@ def masked_sigmoid(z):
                    1e308, -1e308, np.inf, -np.inf, np.nan]))
 def test_sigmoid_bits_match_masked_formula(z):
     expected = masked_sigmoid(z)
-    got = _activate("sigmoid", z)
-    assert got.shape == z.shape
     nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+    # Into a new array, as training calls it, and in place, as scoring does.
+    w = z.copy()
+    for got in (_activate("sigmoid", z), _activate("sigmoid", w, out=w)):
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+    assert got is w
 
 
 # ---------------------------------------------------------------------------
@@ -572,4 +575,19 @@ def test_reconstruction_errors_into_out_match_allocating_call(seed):
     out = rows[2:-2].reshape(batch.shape)
     assert reconstruction_errors(model, batch, out=out) is out
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert np.isnan(rows[:2]).all() and np.isnan(rows[-2:]).all()
+
+
+@pytest.mark.parametrize("last", ["tanh", "relu", "sigmoid", "linear"])
+def test_reconstruction_errors_in_row_slices_match_forward_bits(last):
+    # 700 rows span several SCORE_ROWS slices and end in a ragged one.
+    assert 700 % SCORE_ROWS and 700 > 2 * SCORE_ROWS
+    model = make_model([6, 4, 3, 4, 6], ["tanh", "relu"], ["sigmoid", last],
+                       seed=(11, 12))
+    batch = np.random.default_rng(54).uniform(-3, 3, size=(2, 700, 6))
+    recon, _, _ = forward(model, batch)
+    rows = np.full((1400 + 4, 6), np.nan)
+    out = rows[2:-2].reshape(batch.shape)
+    assert reconstruction_errors(model, batch, out=out) is out
+    assert np.array_equal(out.view(np.int64), ((batch - recon) ** 2).view(np.int64))
     assert np.isnan(rows[:2]).all() and np.isnan(rows[-2:]).all()
