@@ -14,7 +14,6 @@ from .data import (
     build_fsds_cds,
     export_q_csv,
     fit_scaling,
-    invert_scaling,
     load_csv,
     load_idx_images,
     load_selection,

@@ -35,7 +35,7 @@ from .data import (
 )
 from .ensemble import component_seeds, q_shape, run_ensemble, select_at_thresholds, stacks
 from .evaluate import chi2_rank, evaluate_selection
-from .exceptions import RefselError, UsageError
+from .exceptions import DataError, RefselError, UsageError
 from .sampling import LabeledDataset
 
 logger = logging.getLogger(__name__)
@@ -149,6 +149,11 @@ def _selection_data(cfg: RunConfig):
     return fsds, cds
 
 
+def _no_label_feature(data: LabeledDataset, filename: str):
+    if "label" in (data.feature_names or ()):  # ``filename`` adds its own label column
+        raise DataError(f"a feature column is named 'label', like the label column of {filename}")
+
+
 def _q_blocks(fsds: LabeledDataset, cfg: RunConfig):
     """Q as one block per stack of components, each trained as it is drawn."""
     ecfg = cfg.ensemble_config()
@@ -176,6 +181,8 @@ def _selection_filename(dq: float) -> str:
 def _cmd_select(args) -> int:
     cfg = _resolved_config(args)
     fsds, cds = _selection_data(cfg)
+    if cds is not None:
+        _no_label_feature(cds, "cds.csv")
     results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
     out = Path(cfg.output_dir)
     names = [_selection_filename(result.delta_quantile) for result in results]
@@ -248,6 +255,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_export_q(args) -> int:
     cfg = _resolved_config(args)
     fsds, _ = _selection_data(cfg)
+    _no_label_feature(fsds, "q_matrix.csv")
     out = Path(cfg.output_dir)
     export_q_csv(_q_blocks(fsds, cfg), out / "q_matrix.csv", fsds.feature_names)
     rows, n_features = q_shape(fsds, cfg.n_components)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import REMatrix, SelectionResult
+from .ensemble import SelectionResult
 from .evaluate import EvalReport
 from .exceptions import DataError, FormatError, ParameterError, ParseError
 from .sampling import LabeledDataset, stratified_rows
@@ -311,15 +311,6 @@ def apply_scaling(params: ScalingParams, matrix) -> np.ndarray:
     return np.clip(scaled, lo, hi, out=scaled)
 
 
-def invert_scaling(params: ScalingParams, scaled) -> np.ndarray:
-    """Inverse of apply_scaling for non-clipped values; constants map to their min."""
-    s = np.asarray(scaled, dtype=np.float64)
-    span = params.maximums - params.minimums
-    lo, hi = params.target_range
-    unit = (s - lo) / (hi - lo)
-    return np.where(span == 0, params.minimums, params.minimums + unit * span)
-
-
 # ---------------------------------------------------------------------------
 # Result persistence
 
@@ -340,9 +331,9 @@ def open_atomic(path):
 
 
 def write_csv(path, header, rows) -> None:
-    """Stream a header and rows of string cells to ``path``, one line at a time."""
+    """Stream a header, quoted where names need it, and rows of string cells to ``path``."""
     with open_atomic(path) as fh:
-        fh.write(",".join(header) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
@@ -352,7 +343,7 @@ def save_json(obj, path) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def selection_to_dict(result: SelectionResult) -> dict:
+def save_selection(result: SelectionResult, path) -> None:
     doc = {
         "delta_quantile": result.delta_quantile,
         "threshold": result.threshold,
@@ -364,11 +355,7 @@ def selection_to_dict(result: SelectionResult) -> dict:
         doc["l_min"] = [float(v) for v in result.l_min]
     if result.l_maj is not None:
         doc["l_maj"] = [float(v) for v in result.l_maj]
-    return doc
-
-
-def save_selection(result: SelectionResult, path) -> None:
-    save_json(selection_to_dict(result), path)
+    save_json(doc, path)
 
 
 def _field(doc: dict, key: str, kinds=(int, float), dtype=None):
@@ -436,10 +423,12 @@ def report_to_dict(report: EvalReport) -> dict:
             "summaries": [plain(s) for s in report.summaries]}
 
 
-def export_q_csv(q, path, feature_names=None) -> None:
-    """Write Q with a label column; q is an REMatrix or its blocks, each let go once written."""
-    blocks = iter([q] if isinstance(q, REMatrix) else q)
-    first = next(blocks)
+def export_q_csv(blocks, path, feature_names=None) -> None:
+    """Write Q's REMatrix blocks with a label column, letting each go once it is written."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise DataError("Q has no rows")
     names = feature_names or [f"f{i}" for i in range(first.Q.shape[1])]
     if len(names) != first.Q.shape[1]:
         raise DataError("feature_names length must match Q columns")

@@ -156,6 +156,10 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig, components: range = 
             f"model expects {cfg.dsae.n_features} features, dataset has {data.n_features}"
         )
     components = range(cfg.n_components) if components is None else components
+    if not (isinstance(components, range) and components.step == 1
+            and 0 <= components.start < components.stop <= cfg.n_components):
+        raise ParameterError(f"components must be a non-empty step-1 range within "
+                             f"range({cfg.n_components}), got {components!r}")
     rows, n_features = q_shape(data, cfg.n_components)
     m = 2 * data.n_minority  # test rows per component
     try:
@@ -187,16 +191,16 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig, components: range = 
     return REMatrix(Q=q, labels=labels)
 
 
-def class_mean_re(q, estimator: str = "mean"):
+def class_mean_re(blocks, estimator: str = "mean"):
     """Per-feature "mean" (default) or "median" error of each class: (minority, majority).
 
-    ``q`` is an REMatrix or an iterable of its blocks. As ``np.mean`` sums row by row,
+    ``blocks`` is Q as an iterable of REMatrix blocks. As ``np.mean`` sums row by row,
     each block's first row takes the running sum; one column it sums pairwise, so whole.
     """
     if estimator not in ("mean", "median"):
         raise ParameterError(f"unknown estimator {estimator!r}")
     sums, counts, kept = [np.float64(-0.0)] * 2, [0, 0], ([], [])  # -0.0 + x is x
-    for block in [q] if isinstance(q, REMatrix) else q:
+    for block in blocks:
         for c in (0, 1):
             rows = block.Q[block.labels == c]
             counts[c] += len(rows)
@@ -206,6 +210,8 @@ def class_mean_re(q, estimator: str = "mean"):
                 rows[0] += sums[c]
                 sums[c] = np.add.reduce(rows, axis=0)
         del block, rows  # not held while the next block is drawn (and trained)
+    if not counts[0]:
+        raise DataError("Q has no rows")
     if kept[0]:
         agg = np.median if estimator == "median" else np.mean
         return tuple(agg(np.concatenate(kept[c]), axis=0) for c in (1, 0))
@@ -255,8 +261,8 @@ def select_features(delta, delta_quantile: float, l_min=None, l_maj=None) -> Sel
     )
 
 
-def select_at_thresholds(q, delta_quantiles, estimator: str = "mean"):
-    """One SelectionResult per quantile level, all from ``class_mean_re(q, estimator)``.
+def select_at_thresholds(blocks, delta_quantiles, estimator: str = "mean"):
+    """One SelectionResult per quantile level, all from ``class_mean_re(blocks, estimator)``.
 
     Results are nested: a higher quantile level never selects a feature a
     lower one rejected. Class errors that overflow raise NumericError.
@@ -265,7 +271,7 @@ def select_at_thresholds(q, delta_quantiles, estimator: str = "mean"):
     if not delta_quantiles:
         raise ParameterError("need at least one quantile level")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        l_min, l_maj = class_mean_re(q, estimator=estimator)
+        l_min, l_maj = class_mean_re(blocks, estimator=estimator)
     if not (np.isfinite(l_min).all() and np.isfinite(l_maj).all()):
         raise NumericError("class reconstruction errors overflow float64")
     delta = delta_re(l_min, l_maj)

@@ -211,9 +211,6 @@ class DsaeModel:
             w[...] = np.array([rng.uniform(-limit, limit, size=w.shape[-2:]) for rng in rngs])
         return model
 
-    def copy(self) -> "DsaeModel":
-        return DsaeModel(params=self.params.copy(), config=self.config)
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -412,7 +409,7 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
         logger.warning("batch_size %d exceeds training set size %d; clamping", batch_size, n)
         batch_size = n
 
-    model = model.copy()
+    model = DsaeModel(params=model.params.copy(), config=model.config)
     state = AdamState.zeros(model)
     rngs = [np.random.default_rng(seed) for seed in model.config.seeds]
     history = []

@@ -238,7 +238,7 @@ def test_criterion_3_sampling_and_shape_invariants():
         assert len(train_ids) + n_min == n_maj
 
         if case % 10 == 0:
-            selections = select_at_thresholds(q, DELTA_GRID)
+            selections = select_at_thresholds([q], DELTA_GRID)
             sets = [set(r.selected.tolist()) for r in selections]
             for tighter, looser in zip(sets[1:], sets[:-1]):
                 assert tighter <= looser
@@ -273,7 +273,7 @@ def run_plant_selection(master_seed):
     )
     q = run_ensemble(scaled, cfg)
     # With 100 features and distinct deltas, the 0.9 quantile keeps the top 10.
-    selection = select_at_thresholds(q, [0.9])[0]
+    selection = select_at_thresholds([q], [0.9])[0]
     return selection, set(planted.tolist())
 
 

@@ -1,5 +1,6 @@
 """Run config parsing and the four CLI commands on a small synthetic run."""
 
+import csv
 import json
 import time
 import warnings
@@ -209,6 +210,52 @@ def test_evaluate_consumes_select_outputs(run_dir):
     assert any(row.split(",")[1] == "baseline" for row in rows[1:])
     report = json.loads((out_dir / "report.json").read_text())
     assert len(report["summaries"]) == 3 * 2
+
+
+def rename_features(run_dir, names, label_name="label"):
+    """Rewrite the run's dataset, quoted by the csv module, with these leading feature names."""
+    cfg_path, _ = run_dir
+    data, _ = make_planted_dataset(160, 16, 12, n_planted=3, shift=2.0, seed=1)
+    names = [*names, *(f"f{i}" for i in range(len(names), 12))]
+    with (cfg_path.parent / "data.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*names, label_name])
+        writer.writerows([*map(repr, row), label] for row, label in zip(data.X.tolist(), data.y))
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("label = label", f"label = {label_name}"), encoding="utf-8")
+    return names
+
+
+def test_evaluate_reads_a_cds_whose_feature_names_need_quoting(run_dir):
+    # Unquoted, "a,b" split the header into one field more than each row held.
+    cfg_path, out_dir = run_dir
+    names = rename_features(run_dir, ["a,b", 'say "hi"'])
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    with (out_dir / "cds.csv").open(newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == [*names, "label"]
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert len(json.loads((out_dir / "report.json").read_text())["summaries"]) == 3 * 2
+
+
+def test_a_feature_named_label_exits_2_before_training(run_dir, monkeypatch, capsys):
+    # cds.csv and q_matrix.csv add a column named label; evaluate would read the
+    # feature's values as the labels.
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble was trained before the name was rejected")
+
+    monkeypatch.setattr(cli_module, "run_ensemble", never)
+    cfg_path, out_dir = run_dir
+    rename_features(run_dir, ["f0", "label"], label_name="target")
+    for command, filename in (("select", "cds.csv"), ("export-q", "q_matrix.csv")):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"a feature column is named 'label', like the label column of {filename}" in err
+        assert "Traceback" not in err
+    assert not out_dir.exists()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert "no selection_delta_*.json files" in capsys.readouterr().err
 
 
 def test_select_removes_an_earlier_runs_selection_files(run_dir):

@@ -15,7 +15,6 @@ from refsel import (
     apply_scaling,
     build_fsds_cds,
     fit_scaling,
-    invert_scaling,
     load_csv,
     load_idx_images,
     load_selection,
@@ -462,15 +461,6 @@ def test_scaling_equals_reference_formula_bit_for_bit(seed, mode):
     assert np.array_equal(later.view(np.int64), before.view(np.int64))
 
 
-def test_scaling_round_trip():
-    rng = np.random.default_rng(9)
-    train = rng.uniform(-3, 7, size=(30, 4))
-    for mode in ("unit_interval", "symmetric_unit"):
-        params = fit_scaling(train, mode)
-        recovered = invert_scaling(params, apply_scaling(params, train))
-        assert np.allclose(recovered, train, rtol=1e-12, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -489,7 +479,7 @@ def test_selection_file_round_trip(tmp_path):
 def test_export_q_matrix_layout(tmp_path):
     q = REMatrix(Q=np.array([[0.25, 0.5], [0.1, 0.2]]), labels=np.array([1, 0]))
     path = tmp_path / "q.csv"
-    export_q_csv(q, path, feature_names=["a", "b"])
+    export_q_csv([q], path, feature_names=["a", "b"])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,label"
     assert lines[1] == "0.25,0.5,1"
@@ -532,7 +522,7 @@ def test_export_q_csv_matches_joined_reference(tmp_path, names):
     q = REMatrix(Q=np.abs(EDGE_VALUES), labels=np.array([1, 0, 1, 0]))
     q.Q[0, 0] = -0.0  # REMatrix keeps signed zero; repr writes it as -0.0
     path = tmp_path / "q.csv"
-    export_q_csv(q, path, feature_names=names)
+    export_q_csv([q], path, feature_names=names)
     header = (names or [f"f{i}" for i in range(4)]) + ["label"]
     assert path.read_bytes() == reference_matrix_csv(header, q.Q, q.labels).encode()
     assert path.read_text().splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,")
@@ -541,7 +531,7 @@ def test_export_q_csv_matches_joined_reference(tmp_path, names):
 def test_export_q_csv_rejects_wrong_name_count(tmp_path):
     q = REMatrix(Q=np.array([[0.25, 0.5], [0.1, 0.2]]), labels=np.array([1, 0]))
     with pytest.raises(DataError, match="feature_names length"):
-        export_q_csv(q, tmp_path / "q.csv", feature_names=["a"])
+        export_q_csv([q], tmp_path / "q.csv", feature_names=["a"])
     assert list(tmp_path.iterdir()) == []
 
 

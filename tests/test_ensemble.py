@@ -17,6 +17,7 @@ from refsel import (
     TrainingConfig,
     class_mean_re,
     delta_re,
+    export_q_csv,
     run_ensemble,
     select_at_thresholds,
     select_features,
@@ -98,7 +99,7 @@ def test_blocks_of_stacks_equal_the_whole_matrix(parallelism, sizes):
     for estimator in ("mean", "median"):
         streamed = class_mean_re(iter(blocks), estimator)
         assert [v.tobytes() for v in streamed] == [
-            v.tobytes() for v in class_mean_re(whole, estimator)]
+            v.tobytes() for v in class_mean_re([whole], estimator)]
 
 
 def test_component_error_names_the_index_in_the_whole_ensemble(monkeypatch):
@@ -137,6 +138,16 @@ def test_component_failure_is_tagged():
         run_ensemble(data, make_ensemble_config(n_components=1, epochs=1))
 
 
+@pytest.mark.parametrize("components", [range(0, 4, 2), range(5, 7), range(0), range(-1, 2)],
+                         ids=["step_2", "beyond_n_components", "empty", "negative"])
+def test_run_ensemble_rejects_components_outside_one_step_range(components):
+    # n_components = 3: a step-2 range used to fail in a reshape, one past the
+    # end trained components no manifest lists, and an empty one gave an empty Q.
+    with pytest.raises(ParameterError, match=r"non-empty step-1 range within range\(3\)"):
+        run_ensemble(make_data(30, 5), make_ensemble_config(n_components=3),
+                     components=components)
+
+
 def test_ensemble_config_validation():
     with pytest.raises(ParameterError):
         make_ensemble_config(n_components=0)
@@ -163,7 +174,7 @@ def test_class_mean_direct_arithmetic():
         Q=np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 2.0]]),
         labels=np.array([1, 1, 0, 0]),
     )
-    l_min, l_maj = class_mean_re(q)
+    l_min, l_maj = class_mean_re([q])
     assert np.array_equal(l_min, [2.0, 0.0])
     assert np.array_equal(l_maj, [0.0, 2.0])
     assert np.array_equal(delta_re(l_min, l_maj), [2.0, -2.0])
@@ -172,14 +183,14 @@ def test_class_mean_direct_arithmetic():
 def test_class_mean_identical_distributions():
     rows = np.random.default_rng(1).uniform(size=(4, 3))
     q = REMatrix(Q=np.vstack([rows, rows]), labels=np.array([1] * 4 + [0] * 4))
-    l_min, l_maj = class_mean_re(q)
+    l_min, l_maj = class_mean_re([q])
     assert np.allclose(l_min, l_maj)
 
 
 def test_class_mean_matches_grouped_mean_oracle():
     rng = np.random.default_rng(2)
     q = REMatrix(Q=rng.uniform(size=(20, 4)), labels=np.array([1, 0] * 10))
-    l_min, l_maj = class_mean_re(q)
+    l_min, l_maj = class_mean_re([q])
     for j in range(4):
         expect_min = sum(q.Q[t, j] for t in range(20) if q.labels[t] == 1) / 10
         expect_maj = sum(q.Q[t, j] for t in range(20) if q.labels[t] == 0) / 10
@@ -191,10 +202,23 @@ def test_class_median_mode():
     q = REMatrix(
         Q=np.array([[0.0], [10.0], [1.0], [1.0]]), labels=np.array([1, 1, 0, 0])
     )
-    l_min, l_maj = class_mean_re(q, estimator="median")
+    l_min, l_maj = class_mean_re([q], estimator="median")
     assert l_min[0] == 5.0 and l_maj[0] == 1.0
     with pytest.raises(ParameterError):
-        class_mean_re(q, estimator="mode")
+        class_mean_re([q], estimator="mode")
+
+
+@pytest.mark.parametrize("consume", [
+    lambda q, path: class_mean_re(q),
+    lambda q, path: class_mean_re(q, estimator="median"),
+    lambda q, path: select_at_thresholds(q, [0.5]),
+    lambda q, path: export_q_csv(q, path),
+], ids=["class_mean_re", "class_median_re", "select_at_thresholds", "export_q_csv"])
+def test_empty_q_is_a_data_error(tmp_path, consume):
+    with warnings.catch_warnings(), pytest.raises(DataError, match="Q has no rows"):
+        warnings.simplefilter("error")
+        consume(iter([]), tmp_path / "q.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_delta_examples():
@@ -229,7 +253,7 @@ def test_streamed_class_means_equal_np_mean_bit_for_bit(data):
     original = q.tobytes()
     with np.errstate(over="ignore"):
         streamed = class_mean_re(iter(blocks))
-        whole = class_mean_re(REMatrix(Q=q, labels=labels))
+        whole = class_mean_re([REMatrix(Q=q, labels=labels)])
         expected = [np.mean(q[labels == c], axis=0) for c in (1, 0)]
     for got in (streamed, whole):
         assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
@@ -310,10 +334,10 @@ def test_unique_maximum_selected_at_top_quantile(deltas):
 def test_select_at_thresholds_shares_class_means():
     rng = np.random.default_rng(5)
     q = REMatrix(Q=rng.uniform(size=(12, 6)), labels=np.array([1, 0] * 6))
-    results = select_at_thresholds(q, [0.9, 0.9, 0.5])
+    results = select_at_thresholds([q], [0.9, 0.9, 0.5])
     assert results[0].threshold == results[1].threshold
     assert np.array_equal(results[0].selected, results[1].selected)
-    l_min, l_maj = class_mean_re(q)
+    l_min, l_maj = class_mean_re([q])
     assert np.allclose(results[2].delta, l_min - l_maj)
     assert np.array_equal(results[2].l_min, l_min)
 
@@ -324,13 +348,13 @@ def test_select_at_thresholds_rejects_overflowing_class_errors():
     q = REMatrix(Q=np.full((4, 3), 1e308), labels=np.array([1, 0] * 2))
     with warnings.catch_warnings(), pytest.raises(NumericError, match="overflow"):
         warnings.simplefilter("error", RuntimeWarning)
-        select_at_thresholds(q, [0.5])
+        select_at_thresholds([q], [0.5])
 
 
 def test_select_at_thresholds_nested_over_default_grid():
     rng = np.random.default_rng(6)
     q = REMatrix(Q=rng.uniform(size=(40, 25)), labels=np.array([1, 0] * 20))
-    results = select_at_thresholds(q, DELTA_GRID)
+    results = select_at_thresholds([q], DELTA_GRID)
     sets = [set(r.selected.tolist()) for r in results]
     for smaller, larger in zip(sets[1:], sets[:-1]):
         assert smaller <= larger
@@ -345,8 +369,8 @@ def test_aggregation_and_selection_are_permutation_equivariant():
     perm = rng.permutation(9)
     q_perm = REMatrix(Q=q.Q[:, perm], labels=q.labels)
 
-    base = select_at_thresholds(q, [0.7])[0]
-    permuted = select_at_thresholds(q_perm, [0.7])[0]
+    base = select_at_thresholds([q], [0.7])[0]
+    permuted = select_at_thresholds([q_perm], [0.7])[0]
     assert np.array_equal(permuted.delta, base.delta[perm])
     assert permuted.threshold == base.threshold
     mapped = np.sort(np.array([np.flatnonzero(perm == i)[0] for i in base.selected]))

@@ -9,8 +9,10 @@ hashed with their path fields and ``parallelism`` blanked.
 
 The bits depend on numpy and its BLAS, so the table is keyed by the numpy
 version, the BLAS name and version, and a digest of a few seeded kernel
-results. On a machine whose key has no entry the test skips and names the
-key. A change meant to alter outputs regenerates this machine's entry with
+results. On every machine the test checks that the three parallelism levels
+give the same digests; on one whose key has no entry it then skips the table
+comparison and names the key. A change meant to alter outputs regenerates
+this machine's entry with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -127,16 +129,23 @@ def run_workload(root: Path, parallelism: int) -> dict:
     return digests
 
 
+def changed(expected: dict, got: dict) -> list:
+    return sorted(name for name in expected.keys() | got.keys()
+                  if expected.get(name) != got.get(name))
+
+
 def test_outputs_match_golden_digests(tmp_path):
+    first, *others = PARALLELISM
+    runs = {p: run_workload(tmp_path, p) for p in PARALLELISM}
+    for parallelism in others:
+        assert changed(runs[first], runs[parallelism]) == [], \
+            f"--parallelism {parallelism} differs from {first}"
     key = machine_key()
     expected = json.loads(DIGESTS.read_text(encoding="utf-8")).get(key)
     if expected is None:
-        pytest.skip(f"no golden digests for machine key {key!r}")
-    for parallelism in PARALLELISM:
-        got = run_workload(tmp_path, parallelism)
-        changed = sorted(name for name in expected.keys() | got.keys()
-                         if expected.get(name) != got.get(name))
-        assert changed == [], f"--parallelism {parallelism}: changed outputs {changed}"
+        pytest.skip(f"outputs agree at --parallelism {PARALLELISM}, "
+                    f"but there are no golden digests for machine key {key!r}")
+    assert changed(expected, runs[first]) == [], "changed outputs"
 
 
 def regenerate() -> None:
