@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import array
 import csv
+import io
 import json
 import math
 import os
@@ -48,7 +49,7 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         reader = _records(csv.reader(_decoded_lines(fh, path)))
         try:
             header = next(reader)
@@ -238,6 +239,8 @@ class DatasetSplitSpec:
     def __post_init__(self):
         if not 0.0 < self.fsds_fraction < 1.0:
             raise ParameterError("fsds_fraction must lie in (0, 1)")
+        if self.split_seed < 0:
+            raise ParameterError(f"split seed must be non-negative, got {self.split_seed}")
         if self.minority_subsample is not None and self.minority_subsample < 2:
             raise ParameterError("minority_subsample must be at least 2")
 
@@ -332,8 +335,11 @@ def open_atomic(path):
 
 def write_csv(path, header, rows) -> None:
     """Stream a header, quoted where names need it, and rows of string cells to ``path``."""
+    # With "\r\n" as terminator, every Python version quotes names holding CR or LF.
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(header)
     with open_atomic(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(line.getvalue()[:-2] + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 

@@ -8,7 +8,8 @@ given the config seed.
 
 A model's parameters live in one buffer, each layer's W and then b end to
 end; gradients and Adam moments are buffers of the same shape, so an Adam step
-is one element-wise pass over the whole model.
+is one element-wise pass over the whole model. Training caches one array per
+layer, its output, and each activation's derivative reads only that output.
 
 A config with a tuple of seeds describes a stack: that many models of the
 same architecture, held along a leading axis of every parameter and batch
@@ -46,15 +47,15 @@ def _sigmoid(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 
 
 # Each activation's function of the pre-activation z, written into ``out``
-# (which may be z) when given, and its derivative in terms of z and the
-# output a. The relu subgradient at 0 is 0.
+# (which may be z) when given, and its derivative in terms of the output a.
+# relu's is 0 at 0: a = max(z, 0) is positive exactly where z > 0, +-0 and NaN too.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
-             lambda z, a: (z > 0.0).astype(np.float64)),
-    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
+             lambda a: (a > 0.0).astype(np.float64)),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
     "linear": (lambda z, out=None: z if out is None else np.positive(z, out=out),
-               lambda z, a: np.ones_like(z)),
+               np.ones_like),
 }
 
 
@@ -271,20 +272,15 @@ def _pre_activation(model: DsaeModel, k: int, a: np.ndarray) -> np.ndarray:
 def forward(model: DsaeModel, batch):
     """Run the batch through the network.
 
-    Returns (reconstruction, code_activation, cache) where cache, the pair
-    (pre_activations, activations), holds every intermediate needed by
-    :func:`backward`: ``activations[0]`` is the input batch, and
-    ``activations[k+1]`` and ``pre_activations[k]`` belong to layer k.
+    Returns (reconstruction, code_activation, cache) where cache, the list
+    ``[x, a_1, ..., a_L]``, holds everything :func:`backward` needs: the
+    validated input batch first, then each layer's output.
     """
-    x = _as_batch(model, batch)
-    activations = [x]
-    pre_activations = []
+    activations = [_as_batch(model, batch)]
     for k, spec in enumerate(model.config.layers):
         z = _pre_activation(model, k, activations[-1])
-        pre_activations.append(z)
         activations.append(_activate(spec.activation, z))
-    code = activations[len(model.config.encoder_layers)]
-    return activations[-1], code, (pre_activations, activations)
+    return activations[-1], activations[len(model.config.encoder_layers)], activations
 
 
 def _check_finite(activations: list, model: DsaeModel, state: AdamState = None) -> None:
@@ -306,13 +302,11 @@ def _check_finite(activations: list, model: DsaeModel, state: AdamState = None) 
     raise ComponentError(at[0], error) if at else error
 
 
-def _loss_from_cache(model: DsaeModel, x: np.ndarray, cache: tuple, state: AdamState = None):
-    _, activations = cache
+def _loss_from_cache(model: DsaeModel, activations: list, state: AdamState = None):
     _check_finite(activations, model, state)
-    recon = activations[-1]
     code = activations[len(model.config.encoder_layers)]
     lead = model.config.stack_shape
-    mse = np.mean(((x - recon) ** 2).reshape(lead + (-1,)), axis=-1)
+    mse = np.mean(((activations[0] - activations[-1]) ** 2).reshape(lead + (-1,)), axis=-1)
     penalty = model.config.l1_penalty * np.mean(np.sum(np.abs(code), axis=-1), axis=-1)
     return mse + penalty, mse, penalty
 
@@ -324,19 +318,17 @@ def loss_with_penalty(model: DsaeModel, batch):
     is ``l1_penalty`` times the batch mean of the code rows' L1 norms, so both
     terms are batch-size invariant. A stack gets one value per model.
     """
-    x = _as_batch(model, batch)
-    _, _, cache = forward(model, x)
-    return _loss_from_cache(model, x, cache)
+    return _loss_from_cache(model, forward(model, batch)[2])
 
 
-def backward(model: DsaeModel, batch, cache: tuple) -> np.ndarray:
+def backward(model: DsaeModel, batch, cache: list) -> np.ndarray:
     """Gradient of loss_with_penalty, shaped and laid out like ``model.params``.
 
     Each layer's gradients are written into their views of that array. The L1
     term uses sign(h) with sign(0) = 0.
     """
     x = _as_batch(model, batch)
-    pre_activations, activations = cache
+    activations = cache
     layers = model.config.layers
     n, j = x.shape[-2:]
     code_index = len(model.config.encoder_layers) - 1
@@ -351,8 +343,7 @@ def backward(model: DsaeModel, batch, cache: tuple) -> np.ndarray:
     for k in range(len(layers) - 1, -1, -1):
         if k == code_index and lam != 0.0:
             grad_a = grad_a + (lam / n) * np.sign(activations[k + 1])
-        prime = _ACTIVATIONS[layers[k].activation][1]
-        grad_z = grad_a * prime(pre_activations[k], activations[k + 1])
+        grad_z = grad_a * _ACTIVATIONS[layers[k].activation][1](activations[k + 1])
         np.matmul(grad_z.swapaxes(-1, -2), activations[k], out=grad_w[k])
         np.sum(grad_z, axis=-2, out=grad_b[k])
         if k > 0:
@@ -424,7 +415,7 @@ def train(model: DsaeModel, train_matrix, cfg: TrainingConfig, rows=None):
             for start in range(0, n, batch_size):
                 xb = x[epoch_rows[..., start : start + batch_size]]
                 _, _, cache = forward(model, xb)
-                total, _, _ = _loss_from_cache(model, xb, cache, state)
+                total, _, _ = _loss_from_cache(model, cache, state)
                 grads = backward(model, xb, cache)
                 adam_step(model, grads, state, cfg)
                 epoch_loss += total * xb.shape[-2]

@@ -92,9 +92,9 @@ def kink_free_draw(rng, config):
         batch = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), config.n_features))
         _, code, cache = forward(model, batch)
         ok = True if code_act == "relu" else bool(np.all(np.abs(code) > margin))
-        pre_activations, _ = cache
-        for spec, z in zip(model.config.layers, pre_activations):
+        for k, spec in enumerate(model.config.layers):
             if spec.activation == "relu":
+                z = cache[k] @ model.weights[k].T + model.biases[k]
                 ok = ok and np.all(np.abs(z) > margin)
         if ok:
             return model, batch

@@ -218,8 +218,9 @@ def rename_features(run_dir, names, label_name="label"):
     data, _ = make_planted_dataset(160, 16, 12, n_planted=3, shift=2.0, seed=1)
     names = [*names, *(f"f{i}" for i in range(len(names), 12))]
     with (cfg_path.parent / "data.csv").open("w", newline="", encoding="utf-8") as fh:
+        # Quoting every name keeps a CR in one quoted on Python versions before 3.13.
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow([*names, label_name])
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*names, label_name])
         writer.writerows([*map(repr, row), label] for row, label in zip(data.X.tolist(), data.y))
     text = cfg_path.read_text(encoding="utf-8")
     cfg_path.write_text(text.replace("label = label", f"label = {label_name}"), encoding="utf-8")
@@ -235,6 +236,19 @@ def test_evaluate_reads_a_cds_whose_feature_names_need_quoting(run_dir):
         assert next(csv.reader(fh)) == [*names, "label"]
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
     assert len(json.loads((out_dir / "report.json").read_text())["summaries"]) == 3 * 2
+
+
+def test_feature_names_holding_cr_or_lf_are_quoted_in_every_output(run_dir):
+    # Before Python 3.13, a csv writer ending lines in "\n" left a CR bare, so
+    # evaluate read the header of cds.csv as ending at it.
+    cfg_path, out_dir = run_dir
+    names = rename_features(run_dir, ["a\rb", "c\nd", "\r"])
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    assert main(["export-q", "--config", str(cfg_path)]) == 0
+    for filename in ("cds.csv", "q_matrix.csv"):
+        with (out_dir / filename).open(newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == [*names, "label"]
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
 
 
 def test_a_feature_named_label_exits_2_before_training(run_dir, monkeypatch, capsys):
@@ -520,6 +534,30 @@ def test_bad_config_exits_1_before_training(run_dir, monkeypatch, capsys, old, n
     cfg_path.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["benchmark", "--config", str(cfg_path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_negative_split_seed_exits_1_before_reading_data(run_dir, monkeypatch, capsys):
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was read before the config was rejected")
+
+    monkeypatch.setattr(cli_module, "load_csv", never)
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("seed = 7", "seed = -1"), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: split seed must be non-negative, got -1\n"
+
+
+def test_negative_master_and_eval_seeds_still_run(run_dir):
+    cfg_path, out_dir = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    text = text.replace("master_seed = 11", "master_seed = -11").replace("seed = 3", "seed = -3")
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
 
 
 def test_bad_interpolation_exits_1_naming_the_key(run_dir, capsys):

@@ -76,6 +76,25 @@ def test_load_csv_invalid_utf8_cites_line(tmp_path, bad_line):
         load_csv(path, label="target")
 
 
+@pytest.mark.parametrize("header, label, names", [
+    ("label,f0,f1", "label", ["f0", "f1"]),
+    ("f0,label,f1", "label", ["f0", "f1"]),
+])
+def test_load_csv_ignores_a_leading_bom(tmp_path, header, label, names):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n0,0,3\n0,0,6\n1,1,9\n".encode())
+    data = load_csv(path, label=label)
+    assert data.feature_names == names
+    assert data.X.shape == (3, 2)
+
+
+def test_load_csv_invalid_utf8_after_a_bom_cites_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbff1,target\n1,a\n2,a\xff\n3,b\n")
+    with pytest.raises(ParseError, match="line 3: not UTF-8"):
+        load_csv(path, label="target")
+
+
 def test_load_csv_unclosed_quote_cites_line(tmp_path):
     # A stray quote runs its field past the csv module's field size limit.
     text = 'f1,f2,target\n1,2,a\n"3,4,b\n' + "5,6,a\n" * 30000
@@ -533,6 +552,19 @@ def test_export_q_csv_rejects_wrong_name_count(tmp_path):
     with pytest.raises(DataError, match="feature_names length"):
         export_q_csv([q], tmp_path / "q.csv", feature_names=["a"])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("names, line", [
+    (["f0", "f 1"], "f0,f 1,label"),
+    (["a\rb", "c"], '"a\rb",c,label'),
+    (["a\nb", ""], '"a\nb",,label'),
+    (["\r", "a,b", 'say "hi"'], '"\r","a,b","say ""hi""",label'),
+], ids=["plain", "cr", "lf", "cr_comma_quote"])
+def test_write_csv_quotes_only_names_holding_cr_lf_comma_or_quote(tmp_path, names, line):
+    # Before Python 3.13, the csv module quoted only the line terminator's characters.
+    path = tmp_path / "out.csv"
+    write_csv(path, [*names, "label"], [["1.5", "-2.0", "0"]])
+    assert path.read_bytes() == f"{line}\n1.5,-2.0,0\n".encode()
 
 
 @pytest.mark.parametrize("existing", [None, "old,file\n"])

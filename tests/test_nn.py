@@ -28,7 +28,7 @@ from refsel import (
     train,
 )
 from refsel.exceptions import DataError, NumericError, ParameterError, ShapeError
-from refsel.nn import SCORE_ROWS, _activate, _layer_views, layers_from_widths
+from refsel.nn import _ACTIVATIONS, SCORE_ROWS, _activate, _layer_views, layers_from_widths
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,17 @@ def test_forward_shape_mismatch():
         forward(model, np.zeros((3, 5)))
 
 
+def test_forward_cache_is_one_array_per_layer():
+    """The cache is [x, a_1, ..., a_L]: the validated batch, then each layer's output."""
+    model = make_model([4, 3, 2, 3, 4], "relu", "sigmoid", seed=23)
+    batch = np.random.default_rng(24).uniform(-1, 1, size=(5, 4))
+    recon, code, cache = forward(model, batch.tolist())
+    assert len(cache) == len(model.config.layers) + 1
+    assert isinstance(cache[0], np.ndarray) and np.array_equal(cache[0], batch)
+    assert cache[-1] is recon and cache[len(model.config.encoder_layers)] is code
+    assert [a.shape[-1] for a in cache] == [4, 3, 2, 3, 4]
+
+
 def masked_sigmoid(z):
     """The sign-split sigmoid: each half evaluated on its own, under a mask."""
     out = np.empty_like(z)
@@ -256,6 +267,16 @@ def test_sigmoid_bits_match_masked_formula(z):
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
     assert got is w
+
+
+def test_relu_and_linear_derivatives_of_the_output_match_the_pre_activation_formulas():
+    """Derivatives read a = f(z) only; relu's and linear's keep the bits of their z forms."""
+    z = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.5, -1.5])
+    old = {"relu": (z > 0.0).astype(np.float64), "linear": np.ones_like(z)}
+    for name, expected in old.items():
+        got = _ACTIVATIONS[name][1](_activate(name, z))
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +403,9 @@ def test_penalty_gradient_alone_tanh_code():
 
     # Direct formula at the code layer: d(penalty)/dz_code = lam/n * sign(h) * (1-h^2).
     n = len(batch)
-    pre_activations, activations = cache
-    z_code = pre_activations[0]
-    h_code = activations[1]
+    h_code = cache[1]
     expected_bias = (lam / n) * (np.sign(h_code) * (1 - h_code**2)).sum(axis=0)
     assert np.allclose(_layer_views(with_pen.config, analytic_pen)[1][0], expected_bias, rtol=1e-10)
-    assert z_code.shape == h_code.shape
 
 
 # ---------------------------------------------------------------------------
