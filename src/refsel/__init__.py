@@ -25,7 +25,6 @@ from .ensemble import (
     REMatrix,
     SelectionResult,
     class_mean_re,
-    delta_re,
     run_ensemble,
     select_at_thresholds,
     select_features,

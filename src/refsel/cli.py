@@ -117,12 +117,9 @@ def _resolved_config(args) -> RunConfig:
 def _load_dataset(cfg: RunConfig) -> LabeledDataset:
     if cfg.data_format == "csv":
         return load_csv(cfg.dataset_path, cfg.label, cfg.minority_label)
-    counts = None
-    if cfg.majority_count is not None or cfg.minority_count is not None:
-        counts = (cfg.majority_count, cfg.minority_count)
     return load_idx_images(
-        cfg.images_path, cfg.labels_path,
-        (cfg.majority_class, cfg.minority_class), counts=counts,
+        cfg.images_path, cfg.labels_path, (cfg.majority_class, cfg.minority_class),
+        counts=(cfg.majority_count, cfg.minority_count),
     )
 
 
@@ -205,12 +202,18 @@ def _cmd_evaluate(args) -> int:
     files = sorted(directory.glob("selection_delta_*.json"))
     if not files:
         raise UsageError(f"no selection_delta_*.json files in {directory}")
-    selections = [load_selection(f) for f in files]
-    selections.sort(key=lambda r: r.delta_quantile)
+    selections = sorted((load_selection(f) for f in files), key=lambda r: r.delta_quantile)
     cds_path = Path(args.cds) if args.cds else Path(cfg.output_dir) / "cds.csv"
     minority = "1" if args.cds is None else None  # cds.csv written by select uses 1 = minority
     cds = load_csv(cds_path, label="label", minority_label=minority)
-    report = evaluate_selection(cds, selections, cfg.protocol())
+    for sel in selections:  # a file may come from a run on another dataset
+        if len(sel.delta) != cds.n_features:
+            raise DataError(
+                f"selection at quantile {sel.delta_quantile} scores {len(sel.delta)} "
+                f"features; the held-out dataset has {cds.n_features}"
+            )
+    pairs = [(sel.delta_quantile, sel.selected) for sel in selections]
+    report = evaluate_selection(cds, pairs, cfg.protocol())
     out = Path(cfg.output_dir)
     write_csv(out / "report_rows.csv", *report_rows_table(report))
     write_csv(out / "report_summary.csv", *report_summary_table(report))
@@ -226,17 +229,14 @@ def _cmd_benchmark(args) -> int:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds = _selection_data(cfg)
     results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
+    pairs = [(r.delta_quantile, r.selected) for r in results]
     # Chi-squared needs non-negative features: rank on the FSDS mapped into
     # [0, 1], which leaves a unit_interval FSDS unchanged to the bit.
     unit = LabeledDataset(apply_scaling(fit_scaling(fsds.X, "unit_interval"), fsds.X), fsds.y)
-    matched = [
-        (r.delta_quantile,
-         chi2_rank(unit, r.n_selected) if r.n_selected > 0 else r.selected)
-        for r in results
-    ]
+    matched = [(dq, chi2_rank(unit, len(cols)) if len(cols) else cols) for dq, cols in pairs]
     protocol = cfg.protocol()
     reports = {
-        "refsel": evaluate_selection(cds, results, protocol),
+        "refsel": evaluate_selection(cds, pairs, protocol),
         "chi2": evaluate_selection(cds, matched, protocol),
     }
     out = Path(cfg.output_dir)

@@ -103,6 +103,11 @@ class RunConfig:
             for key in ("images_path", "labels_path", "majority_class", "minority_class"):
                 if getattr(self, key) is None:
                     raise UsageError(f"idx data needs [data] {key}")
+            classes = (self.majority_class, self.minority_class)  # IDX labels are bytes
+            if classes[0] == classes[1] or not all(0 <= c <= 255 for c in classes):
+                raise UsageError(f"idx classes {classes} must differ and lie in 0..255")
+            if any(n is not None and n < 1 for n in (self.majority_count, self.minority_count)):
+                raise UsageError("[data] majority_count and minority_count must be at least 1")
         if self.scaling_mode not in SCALING_MODES:
             raise UsageError(f"scaling must be one of {SCALING_MODES}")
         for dq in self.delta_quantiles:
@@ -110,6 +115,8 @@ class RunConfig:
                 raise UsageError(f"delta quantile {dq} outside [0, 1)")
         if not self.delta_quantiles:
             raise UsageError("need at least one delta quantile")
+        if len(set(self.delta_quantiles)) != len(self.delta_quantiles):
+            raise UsageError(f"delta quantiles {list(self.delta_quantiles)} name a level twice")
         if self.estimator not in ("mean", "median"):
             raise UsageError(f"estimator must be mean or median, got {self.estimator!r}")
         # Q holds at least two rows per component, one float64 per feature.

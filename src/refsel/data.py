@@ -195,6 +195,8 @@ def load_idx_images(images_path, labels_path, class_pair, counts=None) -> Labele
     caps each class at (n_majority, n_minority) rows, taking the first
     occurrences in file order. Pixels are flattened row-major.
     """
+    if class_pair[0] == class_pair[1]:
+        raise DataError(f"majority and minority label are both {class_pair[0]!r}")
     images = _read_idx(images_path, _IDX_IMAGES_MAGIC)
     labels = _read_idx(labels_path, _IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
@@ -209,6 +211,8 @@ def load_idx_images(images_path, labels_path, class_pair, counts=None) -> Labele
         if len(idx) == 0:
             raise DataError(f"no rows with label {value!r}")
         if cap is not None:
+            if cap < 1:
+                raise DataError(f"label {value!r}: requested {cap} rows; need at least 1")
             if len(idx) < cap:
                 raise DataError(
                     f"label {value!r} has {len(idx)} rows, fewer than requested {cap}"

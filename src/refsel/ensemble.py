@@ -218,15 +218,6 @@ def class_mean_re(blocks, estimator: str = "mean"):
     return sums[1] / counts[1], sums[0] / counts[0]
 
 
-def delta_re(l_min, l_maj) -> np.ndarray:
-    """Element-wise difference of class errors; positive marks minority-specific features."""
-    l_min = np.asarray(l_min, dtype=np.float64)
-    l_maj = np.asarray(l_maj, dtype=np.float64)
-    if l_min.shape != l_maj.shape:
-        raise ShapeError(f"length mismatch: {l_min.shape} vs {l_maj.shape}")
-    return l_min - l_maj
-
-
 def select_features(delta, delta_quantile: float, l_min=None, l_maj=None) -> SelectionResult:
     """Select the features whose delta lies strictly above its empirical quantile.
 
@@ -274,5 +265,5 @@ def select_at_thresholds(blocks, delta_quantiles, estimator: str = "mean"):
         l_min, l_maj = class_mean_re(blocks, estimator=estimator)
     if not (np.isfinite(l_min).all() and np.isfinite(l_maj).all()):
         raise NumericError("class reconstruction errors overflow float64")
-    delta = delta_re(l_min, l_maj)
+    delta = l_min - l_maj  # positive marks minority-specific features
     return [select_features(delta, dq, l_min=l_min, l_maj=l_maj) for dq in delta_quantiles]

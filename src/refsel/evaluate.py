@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifiers import GaussianNB, KNeighbors, LogisticRegression
-from .ensemble import SelectionResult
 from .exceptions import DataError, ParameterError
 from .metrics import auroc, sensitivity
 from .sampling import LabeledDataset, derive_seed, stratified_rows
@@ -157,27 +156,19 @@ def _score_chunk(model, x_train, y_train, x_test, y_test):
 def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) -> EvalReport:
     """Score each selection (plus the all-features baseline) on the held-out set.
 
-    Trial t re-splits the rows with seed derive_seed(split_seed, t); one
-    split per trial is shared by every classifier and selection. Each column
-    set's trials are gathered once per chunk of at most LR_STACK_BYTES of
-    training data, and every classifier scores that chunk (see
-    ``_score_chunk``). Selections with no features get NaN scores and a
-    warning note. Rows come out trial-major; each summary is the mean and
-    std of its own entry's trials.
+    ``selections`` is an iterable of ``(level, columns)`` pairs; a column index
+    outside the held-out dataset raises DataError. Trial t re-splits the rows
+    with seed derive_seed(split_seed, t); one split per trial is shared by
+    every classifier and selection. Each column set's trials are gathered
+    once per chunk of at most LR_STACK_BYTES of training data, and every
+    classifier scores that chunk (see ``_score_chunk``). Selections with no
+    features get NaN scores and a warning note. Rows come out trial-major;
+    each summary is the mean and std of its own entry's trials.
     """
     report = EvalReport()
     entries = [(None, np.arange(cds.n_features))]
-    for sel in selections:
-        if isinstance(sel, SelectionResult):
-            if len(sel.delta) != cds.n_features:
-                raise DataError(
-                    f"selection at quantile {sel.delta_quantile} scores {len(sel.delta)} "
-                    f"features; the held-out dataset has {cds.n_features}"
-                )
-            dq, cols = sel.delta_quantile, sel.selected
-        else:
-            dq, cols = sel
-            cols = np.asarray(cols, dtype=np.int64)
+    for dq, cols in selections:
+        cols = np.asarray(cols, dtype=np.int64)
         outside = cols[(cols < 0) | (cols >= cds.n_features)]
         if outside.size:
             raise DataError(

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import struct
 import time
 import warnings
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import refsel.ensemble
-from refsel import make_planted_dataset, save_csv
+from refsel import load_csv, make_planted_dataset, save_csv
 from refsel.cli import _selection_filename, main
 from refsel.config import DEFAULT_DELTAS, load_run_config
 from refsel.exceptions import UsageError
@@ -421,6 +423,20 @@ def test_evaluate_selection_beyond_dataset_exits_2(run_dir, capsys):
     assert "Traceback" not in err
 
 
+def test_evaluate_selection_of_other_width_exits_2(run_dir, capsys):
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    path = out_dir / "selection_delta_0.9.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["delta"] = doc["delta"] + [0.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "selection at quantile 0.9 scores 13 features; the held-out dataset has 12" in err
+    assert "Traceback" not in err
+
+
 MALFORMED_SELECTIONS = {
     "not_json": lambda doc: b"{not json",
     "not_utf8": lambda doc: b"\xff\xfe{",
@@ -519,8 +535,14 @@ def test_unallocatable_error_matrix_exits_1(run_dir, capsys):
     ("batch_size = 16", "batch_size = 16\nepsilon = nan"),
     ("l1_penalty = 1e-5", "l1_penalty = inf"),
     ("classifiers = gaussian_nb,knn", "classifiers = ,"),
+    ("deltas = 0.75,0.9", "deltas = 0.9,0.9"),
+    ("deltas = 0.75,0.9", "deltas = ,"),
+    ("deltas = 0.75,0.9", "deltas = 0.75,0.9\nestimator = mode"),
+    ("[split]", "[unused]"),
+    ("format = csv", "format = idx\nlabels = l.idx\nmajority_class = 1\nminority_class = 7"),
 ], ids=["trials", "train_fraction", "classifiers", "learning_rate", "epsilon", "l1_penalty",
-        "no_classifiers"])
+        "no_classifiers", "repeated_delta", "no_deltas", "estimator", "benchmark_without_split",
+        "idx_without_images"])
 def test_bad_config_exits_1_before_training(run_dir, monkeypatch, capsys, old, new):
     import refsel.cli as cli_module
 
@@ -549,6 +571,27 @@ def test_negative_split_seed_exits_1_before_reading_data(run_dir, monkeypatch, c
     assert main(["select", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: split seed must be non-negative, got -1\n"
+
+
+def test_output_flag_overrides_the_config_directory(run_dir, tmp_path):
+    cfg_path, out_dir = run_dir
+    other = tmp_path / "other"
+    assert main(["select", "--config", str(cfg_path), "--output", str(other)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--output", str(other)]) == 0
+    assert not out_dir.exists()
+    assert (other / "report.json").exists()
+    manifest = json.loads((other / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["output_dir"] == str(other)
+
+
+def test_output_naming_a_file_exits_2(run_dir, tmp_path, capsys):
+    cfg_path, _ = run_dir
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path), "--output", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_negative_master_and_eval_seeds_still_run(run_dir):
@@ -582,6 +625,106 @@ def test_nul_byte_in_a_value_exits_1_naming_the_key(run_dir, capsys, old, key):
     assert main(["select", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert f"config key {key}: cannot parse '\\x00" in err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# IDX input
+
+IDX_CONFIG = """
+[data]
+format = idx
+images = {images}
+labels = {labels}
+majority_class = 1
+minority_class = 7
+majority_count = 30
+minority_count = 10
+
+[split]
+fsds_fraction = 0.75
+seed = 7
+
+[ensemble]
+components = 2
+encoder = 16-4
+encoder_activations = tanh
+decoder = 4-16
+decoder_activations = sigmoid
+
+[training]
+epochs = 2
+batch_size = 8
+
+[selection]
+deltas = 0.5,0.9
+
+[eval]
+classifiers = gaussian_nb,knn
+trials = 2
+
+[output]
+directory = {out_dir}
+"""
+
+
+def write_idx(path, magic, array):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        fh.write(array.astype(np.uint8).tobytes())
+
+
+@pytest.fixture
+def idx_run(tmp_path):
+    """4x4 images of classes 1 (40), 7 (16) and 3 (6), capped at 30 and 10 rows."""
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.repeat([1, 7, 3], [40, 16, 6]))
+    write_idx(tmp_path / "images.idx", 0x803, rng.integers(0, 256, size=(len(labels), 4, 4)))
+    write_idx(tmp_path / "labels.idx", 0x801, labels)
+    cfg_path = tmp_path / "idx.ini"
+    cfg_path.write_text(IDX_CONFIG.format(
+        images=tmp_path / "images.idx", labels=tmp_path / "labels.idx", out_dir=tmp_path / "run",
+    ), encoding="utf-8")
+    return cfg_path, tmp_path / "run"
+
+
+def test_idx_run_end_to_end(idx_run, caplog):
+    cfg_path, out_dir = idx_run
+    with caplog.at_level("INFO", logger="refsel.cli"):
+        assert main(["select", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert main(["export-q", "--config", str(cfg_path)]) == 0
+    header = (out_dir / "q_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == ",".join([f"px{i}" for i in range(16)] + ["label"])
+    # The selection and held-out datasets together hold exactly the capped rows.
+    logged = " ".join(r.getMessage() for r in caplog.records)
+    fsds_majority, fsds_minority = map(int, re.search(
+        r"selection dataset: (\d+) majority / (\d+) minority rows, 16 features", logged).groups())
+    cds = load_csv(out_dir / "cds.csv", "label", "1")
+    assert (fsds_majority + cds.n_majority, fsds_minority + cds.n_minority) == (30, 10)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("majority_count = 30", "majority_count = -5"),
+    ("minority_count = 10", "minority_count = 0"),
+    ("minority_class = 7", "minority_class = 1"),
+    ("minority_class = 7", "minority_class = 256"),
+    ("majority_class = 1", "majority_class = -1"),
+], ids=["negative_count", "zero_count", "one_class_twice", "class_above_255", "negative_class"])
+def test_bad_idx_settings_exit_1_before_reading_data(idx_run, monkeypatch, capsys, old, new):
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was read before the config was rejected")
+
+    monkeypatch.setattr(cli_module, "load_idx_images", never)
+    cfg_path, _ = idx_run
+    text = cfg_path.read_text(encoding="utf-8")
+    assert old in text
+    cfg_path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
     assert "Traceback" not in err
 
 

@@ -354,6 +354,19 @@ def test_idx_count_filtering(tmp_path):
         load_idx_images(img_path, lab_path, (1, 7), counts=(11, 3))
 
 
+@pytest.mark.parametrize("class_pair, counts, message", [
+    ((1, 7), (-5, None), "requested -5 rows; need at least 1"),
+    ((1, 7), (8, 0), "requested 0 rows; need at least 1"),
+    ((7, 7), (3, 3), "majority and minority label are both 7"),
+], ids=["negative_cap", "zero_cap", "one_class_twice"])
+def test_idx_rejects_an_empty_cap_and_one_class_twice(tmp_path, class_pair, counts, message):
+    # A negative cap used to drop rows from the end, and one class named twice
+    # used to return copies of majority rows as the minority class.
+    img_path, lab_path, _ = make_idx_pair(tmp_path, [1] * 10 + [7] * 6)
+    with pytest.raises(DataError, match=message):
+        load_idx_images(img_path, lab_path, class_pair, counts=counts)
+
+
 def test_idx_row_count_mismatch(tmp_path):
     img_path, lab_path, _ = make_idx_pair(tmp_path, [1, 7, 1])
     short = tmp_path / "short.idx"

@@ -16,7 +16,6 @@ from refsel import (
     REMatrix,
     TrainingConfig,
     class_mean_re,
-    delta_re,
     export_q_csv,
     run_ensemble,
     select_at_thresholds,
@@ -167,7 +166,7 @@ def test_rematrix_requires_balanced_labels():
 
 
 # ---------------------------------------------------------------------------
-# class_mean_re / delta_re
+# class_mean_re
 
 def test_class_mean_direct_arithmetic():
     q = REMatrix(
@@ -177,7 +176,7 @@ def test_class_mean_direct_arithmetic():
     l_min, l_maj = class_mean_re([q])
     assert np.array_equal(l_min, [2.0, 0.0])
     assert np.array_equal(l_maj, [0.0, 2.0])
-    assert np.array_equal(delta_re(l_min, l_maj), [2.0, -2.0])
+    assert np.array_equal(l_min - l_maj, [2.0, -2.0])
 
 
 def test_class_mean_identical_distributions():
@@ -219,16 +218,6 @@ def test_empty_q_is_a_data_error(tmp_path, consume):
         warnings.simplefilter("error")
         consume(iter([]), tmp_path / "q.csv")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_delta_examples():
-    assert np.allclose(delta_re([0.5, 0.1], [0.2, 0.1]), [0.3, 0.0])
-    v = np.random.default_rng(3).uniform(size=6)
-    assert np.array_equal(delta_re(v, v), np.zeros(6))
-    a, b = np.random.default_rng(4).uniform(size=(2, 5))
-    assert np.array_equal(delta_re(a, b), np.array([x - y for x, y in zip(a, b)]))
-    with pytest.raises(ShapeError):
-        delta_re([1.0, 2.0], [1.0])
 
 
 # Magnitudes up to 1e300, so class sums overflow to inf; -0.0 passes the

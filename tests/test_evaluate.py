@@ -168,7 +168,7 @@ def test_full_selection_equals_baseline_rows():
     full = type(full)(delta=full.delta, delta_quantile=0.0, threshold=-1.0,
                       selected=np.arange(20))
     protocol = EvalProtocol(trials=2, split_seed=7, classifiers=("gaussian_nb",))
-    report = evaluate_selection(cds, [full], protocol)
+    report = evaluate_selection(cds, [(full.delta_quantile, full.selected)], protocol)
     baseline = {r.trial: r for r in report.rows if r.delta_quantile is None}
     selected = {r.trial: r for r in report.rows if r.delta_quantile == 0.0}
     for trial in baseline:
@@ -182,7 +182,7 @@ def test_empty_selection_yields_warning_rows():
     empty = select_features(np.zeros(20), 0.5)
     assert empty.n_selected == 0
     protocol = EvalProtocol(trials=2, split_seed=7, classifiers=("gaussian_nb", "knn"))
-    report = evaluate_selection(cds, [empty], protocol)
+    report = evaluate_selection(cds, [(empty.delta_quantile, empty.selected)], protocol)
     skipped = [r for r in report.rows if r.delta_quantile == 0.5]
     assert len(skipped) == 4  # two classifiers x two trials
     assert all(np.isnan(r.auroc) and r.note for r in skipped)
@@ -201,8 +201,9 @@ def test_evaluate_deterministic_and_planted_close_to_baseline():
     )
     assert set(selection.selected.tolist()) == set(planted.tolist())
     protocol = EvalProtocol(trials=3, split_seed=13, classifiers=("gaussian_nb",))
-    r1 = evaluate_selection(cds, [selection], protocol)
-    r2 = evaluate_selection(cds, [selection], protocol)
+    pairs = [(selection.delta_quantile, selection.selected)]
+    r1 = evaluate_selection(cds, pairs, protocol)
+    r2 = evaluate_selection(cds, pairs, protocol)
     assert [vars(a) for a in r1.rows] == [vars(b) for b in r2.rows]
 
     mean_sel = [s for s in r1.summaries if s.delta_quantile == 0.9][0].auroc_mean
@@ -218,19 +219,11 @@ def test_selection_index_outside_dataset_is_data_error(cols):
         evaluate_selection(cds, [(0.5, cols)], protocol)
 
 
-def test_selection_scored_on_other_width_is_data_error():
-    cds, _ = planted_cds()
-    wider = select_features(np.arange(30, dtype=float), 0.9)
-    protocol = EvalProtocol(trials=1, classifiers=("gaussian_nb",))
-    with pytest.raises(DataError, match="scores 30 features"):
-        evaluate_selection(cds, [wider], protocol)
-
-
 def test_report_covers_every_combination():
     cds, _ = planted_cds()
     sel = select_features(np.arange(20, dtype=float), 0.8)
     protocol = EvalProtocol(trials=2, classifiers=("gaussian_nb", "logistic_regression", "knn"))
-    report = evaluate_selection(cds, [sel], protocol)
+    report = evaluate_selection(cds, [(sel.delta_quantile, sel.selected)], protocol)
     assert len(report.rows) == 2 * 3 * 2      # (baseline + one selection) x clf x trials
     assert len(report.summaries) == 2 * 3
     assert all(0.0 <= r.auroc <= 1.0 and 0.0 <= r.sensitivity <= 1.0 for r in report.rows)
