@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args) -> RunConfig:
-    cfg = load_run_config(args.config)
+    """The config file under the flags that override it, checked once."""
     updates = {}
     if getattr(args, "deltas", None):
         updates["delta_quantiles"] = tuple(args.deltas)
@@ -109,9 +109,7 @@ def _resolved_config(args) -> RunConfig:
         updates["parallelism"] = args.parallelism
     if getattr(args, "output", None):
         updates["output_dir"] = args.output
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates).validate()
-    return cfg
+    return load_run_config(args.config, updates)
 
 
 def _load_dataset(cfg: RunConfig) -> LabeledDataset:

@@ -37,6 +37,32 @@ def _key(section, key, cast=str, default=MISSING):
     return field(default=default, metadata={"ini": (section, key, cast)})
 
 
+def _ini_name(name: str) -> str:
+    """``[section] key`` of RunConfig field ``name``, from its metadata."""
+    section, key, _ = RunConfig.__dataclass_fields__[name].metadata["ini"]
+    return f"[{section}] {key}"
+
+
+def _blame(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ParameterError becomes a UsageError that starts with ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
+def _build(cls, steps, **given):
+    """cls(**given, ...), adding the ``(where, parameter, value)`` of each step in turn.
+
+    Each class checks a parameter alone or against those before it, so the
+    first call that fails names the key at fault.
+    """
+    for where, param, value in steps:
+        given[param] = value
+        built = _blame(where, cls, **given)
+    return built
+
+
 def _widths(raw: str):
     return [int(part) for part in raw.replace(" ", "").split("-") if part]
 
@@ -95,74 +121,77 @@ class RunConfig:
     output_dir: str = _key("output", "directory")
 
     def validate(self):
+        """Self, once every value is checked; a bad one raises UsageError naming its key."""
         if self.data_format not in ("csv", "idx"):
-            raise UsageError(f"unknown data format {self.data_format!r}")
+            raise UsageError(f"[data] format: unknown data format {self.data_format!r}")
         if self.data_format == "csv" and (self.dataset_path is None or self.label is None):
-            raise UsageError("csv data needs [data] path and [data] label")
+            raise UsageError("[data] path and [data] label are required for csv data")
         if self.data_format == "idx":
-            for key in ("images_path", "labels_path", "majority_class", "minority_class"):
-                if getattr(self, key) is None:
-                    raise UsageError(f"idx data needs [data] {key}")
+            for name in ("images_path", "labels_path", "majority_class", "minority_class"):
+                if getattr(self, name) is None:
+                    raise UsageError(f"{_ini_name(name)} is required for idx data")
             classes = (self.majority_class, self.minority_class)  # IDX labels are bytes
             if classes[0] == classes[1] or not all(0 <= c <= 255 for c in classes):
-                raise UsageError(f"idx classes {classes} must differ and lie in 0..255")
+                raise UsageError(f"[data] majority_class and minority_class {classes} "
+                                 "must differ and lie in 0..255")
             if any(n is not None and n < 1 for n in (self.majority_count, self.minority_count)):
                 raise UsageError("[data] majority_count and minority_count must be at least 1")
         if self.scaling_mode not in SCALING_MODES:
-            raise UsageError(f"scaling must be one of {SCALING_MODES}")
+            raise UsageError(f"[data] scaling must be one of {SCALING_MODES}")
         for dq in self.delta_quantiles:
             if not 0.0 <= dq < 1.0:
-                raise UsageError(f"delta quantile {dq} outside [0, 1)")
+                raise UsageError(f"[selection] deltas: delta quantile {dq} outside [0, 1)")
         if not self.delta_quantiles:
-            raise UsageError("need at least one delta quantile")
+            raise UsageError("[selection] deltas: need at least one delta quantile")
         if len(set(self.delta_quantiles)) != len(self.delta_quantiles):
-            raise UsageError(f"delta quantiles {list(self.delta_quantiles)} name a level twice")
+            raise UsageError(f"[selection] deltas: delta quantiles {list(self.delta_quantiles)} "
+                             "name a level twice")
         if self.estimator not in ("mean", "median"):
-            raise UsageError(f"estimator must be mean or median, got {self.estimator!r}")
+            raise UsageError(f"[selection] estimator must be mean or median, "
+                             f"got {self.estimator!r}")
         # Q holds at least two rows per component, one float64 per feature.
         if self.encoder_widths and 16 * self.n_components * self.encoder_widths[0] > sys.maxsize:
             raise UsageError(
-                f"components = {self.n_components} gives an error matrix larger than "
-                "memory can address"
+                f"[ensemble] components = {self.n_components} gives an error matrix larger "
+                "than memory can address"
             )
-        try:
-            self.ensemble_config()
-            self.protocol()
-        except ParameterError as exc:
-            raise UsageError(str(exc)) from None
+        self.ensemble_config()
+        self.protocol()
         return self
 
+    def _steps(self, params):
+        """_build steps for ``params``, {RunConfig field: class parameter}."""
+        return [(_ini_name(name), param, getattr(self, name)) for name, param in params.items()]
+
     def dsae_config(self) -> DsaeConfig:
-        return DsaeConfig(
-            encoder_layers=layers_from_widths(self.encoder_widths, self.encoder_activations),
-            decoder_layers=layers_from_widths(self.decoder_widths, self.decoder_activations),
-            l1_penalty=self.l1_penalty,
-            seed=0,
-        )
+        encoder, decoder = (
+            _blame(f"[ensemble] {side}, {side}_activations", layers_from_widths,
+                   getattr(self, f"{side}_widths"), getattr(self, f"{side}_activations"))
+            for side in ("encoder", "decoder"))
+        return _build(DsaeConfig, [("[ensemble] encoder, decoder", "decoder_layers", decoder),
+                                   *self._steps({"l1_penalty": "l1_penalty"})],
+                      encoder_layers=encoder, seed=0)
 
     def ensemble_config(self) -> EnsembleConfig:
-        return EnsembleConfig(
-            n_components=self.n_components,
-            dsae=self.dsae_config(),
-            training=self.training,
-            master_seed=self.master_seed,
-            parallelism=self.parallelism,
-        )
+        return _build(EnsembleConfig, self._steps({
+            "n_components": "n_components", "master_seed": "master_seed",
+            "parallelism": "parallelism",
+        }), dsae=self.dsae_config(), training=self.training)
 
     def protocol(self) -> EvalProtocol:
-        return EvalProtocol(
-            train_fraction=self.eval_train_fraction,
-            split_seed=self.eval_seed,
-            classifiers=self.eval_classifiers,
-            trials=self.eval_trials,
-        )
+        return _build(EvalProtocol, self._steps({
+            "eval_train_fraction": "train_fraction", "eval_seed": "split_seed",
+            "eval_classifiers": "classifiers", "eval_trials": "trials",
+        }))
 
 
-def load_run_config(path) -> RunConfig:
-    """Parse a config file into a RunConfig (no CLI overrides applied yet).
+def load_run_config(path, overrides=None) -> RunConfig:
+    """Parse a config file into a RunConfig, with ``overrides`` ({field: value}) on top.
 
     A missing or blank key keeps its default. A missing required key, or a value
-    that cannot be read (a bad ``%``) or parsed, raises UsageError naming it.
+    that cannot be read (a bad ``%``), parsed or accepted, raises UsageError
+    naming it. The values are checked once, after the overrides are applied,
+    so an override replaces a bad file value.
     """
     path = Path(path)
     if not path.exists():
@@ -192,16 +221,18 @@ def load_run_config(path) -> RunConfig:
 
     values = {}
     if parser.has_section("split"):
-        values["split"] = DatasetSplitSpec(**{
-            name: read("split", key, cast, getattr(DatasetSplitSpec, name))
+        values["split"] = _build(DatasetSplitSpec, [
+            (f"[split] {key}", name, read("split", key, cast, getattr(DatasetSplitSpec, name)))
             for key, name, cast in _SPLIT_KEYS
-        })
+        ])
     for f in dataclasses.fields(RunConfig):
         if "ini" in f.metadata:
             values[f.name] = read(*f.metadata["ini"], f.default)
         elif f.name == "training":
-            values["training"] = TrainingConfig(**{
-                t.name: read("training", t.name, type(t.default), t.default)
+            values["training"] = _build(TrainingConfig, [
+                (f"[training] {t.name}", t.name,
+                 read("training", t.name, type(t.default), t.default))
                 for t in dataclasses.fields(TrainingConfig)
-            })
+            ])
+    values.update(overrides or {})
     return RunConfig(**values).validate()

@@ -14,11 +14,13 @@ import io
 import json
 import math
 import os
+import shutil
+import signal
 import struct
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -337,14 +339,23 @@ def open_atomic(path):
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """Stream a header, quoted where names need it, and rows of string cells to ``path``."""
+def _header_line(header) -> str:
+    """The CSV header line, quoted where names need it."""
     # With "\r\n" as terminator, every Python version quotes names holding CR or LF.
     line = io.StringIO()
     csv.writer(line, lineterminator="\r\n").writerow(header)
+    return line.getvalue()[:-2] + "\n"
+
+
+def _write_rows(fh, rows) -> None:
+    fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """Stream a header, quoted where names need it, and rows of string cells to ``path``."""
     with open_atomic(path) as fh:
-        fh.write(line.getvalue()[:-2] + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.write(_header_line(header))
+        _write_rows(fh, rows)
 
 
 def save_json(obj, path) -> None:
@@ -434,14 +445,79 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def export_q_csv(blocks, path, feature_names=None) -> None:
-    """Write Q's REMatrix blocks with a label column, letting each go once it is written."""
+    """Write Q's REMatrix blocks with a label column, each block's lines formatted in a child.
+
+    Each block is handed to a forked child as soon as it is drawn, and let go
+    in the parent, which draws the next while the child writes the block's
+    lines to a part file beside ``path``. At most one child per CPU of the
+    affinity mask runs at a time; the parts are appended in block order. On
+    any failure the children are killed and reaped and the parts removed.
+    """
     blocks = iter(blocks)
-    first = next(blocks, None)
-    if first is None:
+    block = next(blocks, None)
+    if block is None:
         raise DataError("Q has no rows")
-    names = feature_names or [f"f{i}" for i in range(first.Q.shape[1])]
-    if len(names) != first.Q.shape[1]:
+    names = feature_names or [f"f{i}" for i in range(block.Q.shape[1])]
+    if len(names) != block.Q.shape[1]:
         raise DataError("feature_names length must match Q columns")
-    first = _labelled_rows(first.Q, first.labels)  # lets the block go once written
-    rest = chain.from_iterable(map(lambda b: _labelled_rows(b.Q, b.labels), blocks))
-    write_csv(path, [*names, "label"], chain(first, rest))
+    path = Path(path)
+    slots = len(os.sched_getaffinity(0))
+    running = deque()  # (pid, part file) of each child, in block order
+    with open_atomic(path) as fh, tempfile.TemporaryDirectory(
+            dir=path.parent, prefix=f".{path.name}.", suffix=".parts") as parts:
+        fh.write(_header_line([*names, "label"]))
+        try:
+            while block is not None:
+                if len(running) == slots:
+                    _append_part(fh, running)
+                _fork_formatter(block, parts, running)
+                del block  # the child has it in its own memory; the parent draws the next
+                block = next(blocks, None)
+            while running:
+                _append_part(fh, running)
+        except BaseException:
+            for pid, _ in running:
+                os.kill(pid, signal.SIGKILL)
+            for pid, _ in running:
+                os.waitpid(pid, 0)
+            raise
+
+
+def _fork_formatter(block, parts, running) -> None:
+    """Fork a child to write ``block``'s CSV lines to ``parts``/<its pid>; record it in ``running``.
+
+    The child exits 0 once the part is written, with an OSError's errno, or
+    255, and never returns. SIGINT stays blocked in it, so Ctrl-C reaches
+    only the parent, which kills its children.
+    """
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 255
+            try:
+                with open(os.path.join(parts, str(os.getpid())), "w", encoding="utf-8") as out:
+                    _write_rows(out, _labelled_rows(block.Q, block.labels))
+                code = 0
+            except OSError as exc:
+                code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+            finally:
+                os._exit(code)
+        running.append((pid, os.path.join(parts, str(pid))))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _append_part(fh, running) -> None:
+    """Wait for the oldest child; append its part to ``fh`` and delete it."""
+    pid, part = running[0]
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    running.popleft()
+    if 0 < code < 255:
+        raise OSError(code, os.strerror(code), part)
+    if code:
+        raise OSError(f"the process formatting {part} exited with status {code}")
+    fh.flush()
+    with open(part, "rb") as src:
+        shutil.copyfileobj(src, fh.buffer)
+    os.unlink(part)

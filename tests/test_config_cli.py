@@ -1,8 +1,11 @@
 """Run config parsing and the four CLI commands on a small synthetic run."""
 
 import csv
+import errno
 import json
+import os
 import re
+import signal
 import struct
 import time
 import warnings
@@ -10,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import refsel.data
 import refsel.ensemble
 from refsel import load_csv, make_planted_dataset, save_csv
 from refsel.cli import _selection_filename, main
@@ -570,7 +574,49 @@ def test_negative_split_seed_exits_1_before_reading_data(run_dir, monkeypatch, c
     cfg_path.write_text(text.replace("seed = 7", "seed = -1"), encoding="utf-8")
     assert main(["select", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: split seed must be non-negative, got -1\n"
+    assert err == "usage error: [split] seed: split seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("old, new, flags", [
+    ("components = 3", "components = 0", ["--components", "3"]),
+    ("deltas = 0.75,0.9", "deltas = 0.9,0.9", ["--delta", "0.5"]),
+], ids=["components", "deltas"])
+def test_flag_replaces_a_bad_file_value(run_dir, old, new, flags):
+    cfg_path, out_dir = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path), *flags]) == 0
+    assert (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("format = csv", "format = idx\nlabels = l.idx\nmajority_class = 1\nminority_class = 7",
+     "[data] images"),
+    ("fsds_fraction = 0.75", "fsds_fraction = 2", "[split] fsds_fraction"),
+    ("seed = 7", "seed = 7\nminority_subsample = 1", "[split] minority_subsample"),
+    ("components = 3", "components = 0", "[ensemble] components"),
+    ("parallelism = 1", "parallelism = 0", "[ensemble] parallelism"),
+    ("encoder_activations = tanh", "encoder_activations = cosh",
+     "[ensemble] encoder, encoder_activations"),
+    ("decoder = 3-6-12", "decoder = 4-6-12", "[ensemble] encoder, decoder"),
+    ("l1_penalty = 1e-5", "l1_penalty = -1", "[ensemble] l1_penalty"),
+    ("epochs = 4", "epochs = -1", "[training] epochs"),
+    ("batch_size = 16", "batch_size = 16\nbeta2 = 1", "[training] beta2"),
+    ("train_fraction = 0.7", "train_fraction = 1.5", "[eval] train_fraction"),
+    ("trials = 2", "trials = 0", "[eval] trials"),
+    ("classifiers = gaussian_nb,knn", "classifiers = knn,knn", "[eval] classifiers"),
+    ("deltas = 0.75,0.9", "deltas = 0.9,0.9", "[selection] deltas"),
+], ids=["idx_without_images", "fsds_fraction", "minority_subsample", "components",
+        "parallelism", "activation", "chain", "l1_penalty", "epochs", "beta2", "train_fraction",
+        "trials", "classifiers", "repeated_delta"])
+def test_bad_value_names_its_key(run_dir, capsys, old, new, key):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    assert old in text
+    cfg_path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {key}") and err.count("\n") == 1, err
 
 
 def test_output_flag_overrides_the_config_directory(run_dir, tmp_path):
@@ -801,3 +847,31 @@ def test_late_failure_leaves_earlier_outputs_untouched(run_dir, monkeypatch, cap
         assert len(calls) == 2
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
     assert not list(out_dir.glob(".q_matrix.csv.*.tmp"))
+
+
+def no_space(matrix, labels):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def killed(matrix, labels):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("fault, message", [
+    (no_space, "error: [Errno 28] No space left on device: "),
+    (killed, "error: the process formatting "),
+], ids=["no_space", "killed"])
+def test_failed_formatting_child_leaves_no_file_or_process(
+        run_dir, monkeypatch, capsys, cpus, fault, message):
+    # Each child formats one block; it inherits the patched row formatter.
+    cfg_path, out_dir = run_dir
+    monkeypatch.setattr(refsel.data, "_labelled_rows", fault)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert main(["export-q", "--config", str(cfg_path), "--parallelism", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import struct
 
 import numpy as np
@@ -637,3 +638,17 @@ def test_load_selection_missing_key_and_optional_vectors(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match="missing key 'threshold'"):
         load_selection(path)
+
+
+def test_export_q_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatch):
+    def blocks():  # Ctrl-C while the fourth block trains
+        for _ in range(3):
+            yield REMatrix(Q=np.full((40, 3), 0.5), labels=np.repeat([1, 0], 20))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    with pytest.raises(KeyboardInterrupt):
+        export_q_csv(blocks(), tmp_path / "q.csv")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
