@@ -4,6 +4,12 @@ Every run writes a manifest echoing the resolved configuration; those of the
 commands that train also list the component seeds. Any output can thus be
 reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numeric failure.
+
+Training and evaluation use every CPU of the process's affinity mask
+(``taskset`` restricts it): the stacks of components, and the chunks of
+trials, run in rounds of one per CPU through ``workers.ordered_map``, the
+first of each round in this process and the others in forked children.
+The bytes of every output do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +44,7 @@ from .ensemble import component_seeds, q_shape, run_ensemble, select_at_threshol
 from .evaluate import chi2_rank, evaluate_selection
 from .exceptions import DataError, RefselError, UsageError
 from .sampling import LabeledDataset
+from .workers import ordered_map
 
 logger = logging.getLogger(__name__)
 
@@ -150,9 +158,12 @@ def _no_label_feature(data: LabeledDataset, filename: str):
 
 
 def _q_blocks(fsds: LabeledDataset, cfg: RunConfig):
-    """Q as one block per stack of components, each trained as it is drawn."""
+    """Q as one block per stack of components, the stacks trained on every CPU in rounds.
+
+    A generator (``ordered_map``): close it, and every worker process is killed.
+    """
     ecfg = cfg.ensemble_config()
-    return (run_ensemble(fsds, ecfg, components=stack) for stack in stacks(ecfg))
+    return ordered_map(lambda stack: run_ensemble(fsds, ecfg, components=stack), stacks(ecfg))
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
@@ -178,7 +189,8 @@ def _cmd_select(args) -> int:
     fsds, cds = _selection_data(cfg)
     if cds is not None:
         _no_label_feature(cds, "cds.csv")
-    results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
+    with closing(_q_blocks(fsds, cfg)) as blocks:
+        results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     out = Path(cfg.output_dir)
     names = [_selection_filename(result.delta_quantile) for result in results]
     for name, result in zip(names, results):
@@ -226,7 +238,8 @@ def _cmd_benchmark(args) -> int:
     if cfg.split is None:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds = _selection_data(cfg)
-    results = select_at_thresholds(_q_blocks(fsds, cfg), cfg.delta_quantiles, cfg.estimator)
+    with closing(_q_blocks(fsds, cfg)) as blocks:
+        results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     pairs = [(r.delta_quantile, r.selected) for r in results]
     # Chi-squared needs non-negative features: rank on the FSDS mapped into
     # [0, 1], which leaves a unit_interval FSDS unchanged to the bit.
@@ -255,7 +268,8 @@ def _cmd_export_q(args) -> int:
     fsds, _ = _selection_data(cfg)
     _no_label_feature(fsds, "q_matrix.csv")
     out = Path(cfg.output_dir)
-    export_q_csv(_q_blocks(fsds, cfg), out / "q_matrix.csv", fsds.feature_names)
+    with closing(_q_blocks(fsds, cfg)) as blocks:
+        export_q_csv(blocks, out / "q_matrix.csv", fsds.feature_names)
     rows, n_features = q_shape(fsds, cfg.n_components)
     _write_manifest(cfg, "export-q", extra={"q_shape": [rows, n_features]})
     logger.info("wrote %dx%d error matrix to %s", rows, n_features + 1, out)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import array
 import csv
+import functools
 import io
 import json
 import math
 import os
 import shutil
-import signal
 import struct
 import tempfile
 from collections import deque
@@ -29,6 +29,7 @@ from .ensemble import SelectionResult
 from .evaluate import EvalReport
 from .exceptions import DataError, FormatError, ParameterError, ParseError
 from .sampling import LabeledDataset, stratified_rows
+from .workers import fork, kill, reap
 
 SCALING_MODES = ("unit_interval", "symmetric_unit")
 
@@ -462,57 +463,39 @@ def export_q_csv(blocks, path, feature_names=None) -> None:
         raise DataError("feature_names length must match Q columns")
     path = Path(path)
     slots = len(os.sched_getaffinity(0))
-    running = deque()  # (pid, part file) of each child, in block order
+    running = deque()  # pid of each child, in block order; it writes the part parts/<pid>
     with open_atomic(path) as fh, tempfile.TemporaryDirectory(
             dir=path.parent, prefix=f".{path.name}.", suffix=".parts") as parts:
         fh.write(_header_line([*names, "label"]))
         try:
             while block is not None:
                 if len(running) == slots:
-                    _append_part(fh, running)
-                _fork_formatter(block, parts, running)
+                    _append_part(fh, parts, running)
+                fork(functools.partial(_format_part, block, parts), running)
                 del block  # the child has it in its own memory; the parent draws the next
                 block = next(blocks, None)
             while running:
-                _append_part(fh, running)
-        except BaseException:
-            for pid, _ in running:
-                os.kill(pid, signal.SIGKILL)
-            for pid, _ in running:
-                os.waitpid(pid, 0)
-            raise
+                _append_part(fh, parts, running)
+        finally:
+            kill(running)
 
 
-def _fork_formatter(block, parts, running) -> None:
-    """Fork a child to write ``block``'s CSV lines to ``parts``/<its pid>; record it in ``running``.
-
-    The child exits 0 once the part is written, with an OSError's errno, or
-    255, and never returns. SIGINT stays blocked in it, so Ctrl-C reaches
-    only the parent, which kills its children.
-    """
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+def _format_part(block, parts) -> int:
+    """In a child: write ``block``'s CSV lines to ``parts``/<pid>; 0, an OSError's errno, or 255."""
     try:
-        pid = os.fork()
-        if pid == 0:
-            code = 255
-            try:
-                with open(os.path.join(parts, str(os.getpid())), "w", encoding="utf-8") as out:
-                    _write_rows(out, _labelled_rows(block.Q, block.labels))
-                code = 0
-            except OSError as exc:
-                code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
-            finally:
-                os._exit(code)
-        running.append((pid, os.path.join(parts, str(pid))))
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with open(os.path.join(parts, str(os.getpid())), "w", encoding="utf-8") as out:
+            _write_rows(out, _labelled_rows(block.Q, block.labels))
+    except OSError as exc:
+        return exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    return 0
 
 
-def _append_part(fh, running) -> None:
+def _append_part(fh, parts, running) -> None:
     """Wait for the oldest child; append its part to ``fh`` and delete it."""
-    pid, part = running[0]
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    pid = running[0]
+    code = reap(pid)
     running.popleft()
+    part = os.path.join(parts, str(pid))
     if 0 < code < 255:
         raise OSError(code, os.strerror(code), part)
     if code:

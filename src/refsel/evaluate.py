@@ -10,6 +10,7 @@ baseline for matched-size comparisons.
 from __future__ import annotations
 
 import logging
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .classifiers import GaussianNB, KNeighbors, LogisticRegression
 from .exceptions import DataError, ParameterError
 from .metrics import auroc, sensitivity
 from .sampling import LabeledDataset, derive_seed, stratified_rows
+from .workers import ordered_map
 
 logger = logging.getLogger(__name__)
 
@@ -161,9 +163,12 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     with seed derive_seed(split_seed, t); one split per trial is shared by
     every classifier and selection. Each column set's trials are gathered
     once per chunk of at most LR_STACK_BYTES of training data, and every
-    classifier scores that chunk (see ``_score_chunk``). Selections with no
-    features get NaN scores and a warning note. Rows come out trial-major;
-    each summary is the mean and std of its own entry's trials.
+    classifier scores that chunk (see ``_score_chunk``). The chunks are
+    scored through ``ordered_map``, so with more than one CPU in the
+    affinity mask this call forks worker processes; the scores keep their
+    bits on any number of CPUs. Selections with no features get NaN scores
+    and a warning note. Rows come out trial-major; each summary is the mean
+    and std of its own entry's trials.
     """
     report = EvalReport()
     entries = [(None, np.arange(cds.n_features))]
@@ -185,29 +190,42 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     # (entry index, classifier) -> (trials, 2) of (auroc, sensitivity); NaN if skipped
     scores = {(e, name): np.full((protocol.trials, 2), np.nan)
               for e in range(len(entries)) for name in protocol.classifiers}
-    notes, lr_iters = {}, []
-    for e, (dq, cols) in enumerate(entries):
-        if len(cols) == 0:
-            logger.warning("selection at quantile %s is empty; skipping", dq)
-            notes[e] = "empty selection; skipped"
-            continue
-        cols_t = cds.X[:, cols].T  # the one column gather of this set
-        chunk = max(1, LR_STACK_BYTES // (train_rows.shape[1] * len(cols) * 8))
-        for start in range(0, protocol.trials, chunk):
-            block = slice(start, start + chunk)
-            xs_tr, xs_te = _gather(cols_t, train_rows[block]), _gather(cols_t, test_rows[block])
-            # Fresh models per chunk: a fitted kNN keeps its slice, and so the stack, alive.
-            models = {name: CLASSIFIERS[name]() for name in protocol.classifiers}
-            lr = models.get("logistic_regression")
-            for name, model in models.items():
-                scores[e, name][block] = _score_chunk(
-                    model, xs_tr, y_train[block], xs_te, y_test[block])
-            if lr is not None:
-                lr_iters.append(lr.n_iter_)
+    notes = {}
+
+    def chunks():
+        """(entry index, trial slice, column set) per chunk of trials to score."""
+        for e, (dq, cols) in enumerate(entries):
+            if len(cols) == 0:
+                logger.warning("selection at quantile %s is empty; skipping", dq)
+                notes[e] = "empty selection; skipped"
+                continue
+            cols_t = cds.X[:, cols].T  # the one column gather of this set
+            chunk = max(1, LR_STACK_BYTES // (train_rows.shape[1] * len(cols) * 8))
+            for start in range(0, protocol.trials, chunk):
+                yield e, slice(start, start + chunk), cols_t
+
+    def score(item):
+        """Every classifier's scores of one chunk, and its LR iteration counts (or None)."""
+        e, block, cols_t = item
+        xs_tr, xs_te = _gather(cols_t, train_rows[block]), _gather(cols_t, test_rows[block])
+        # Fresh models per chunk: a fitted kNN keeps its slice, and so the stack, alive.
+        models = {name: CLASSIFIERS[name]() for name in protocol.classifiers}
+        chunk_scores = {name: _score_chunk(model, xs_tr, y_train[block], xs_te, y_test[block])
+                        for name, model in models.items()}
+        lr = models.get("logistic_regression")
+        return e, block, chunk_scores, None if lr is None else lr.n_iter_
+
+    lr_iters = []
+    with closing(ordered_map(score, chunks())) as results:
+        for e, block, chunk_scores, n_iter in results:
+            for name, chunk_score in chunk_scores.items():
+                scores[e, name][block] = chunk_score
+            if n_iter is not None:
+                lr_iters.append(n_iter)
     if lr_iters:
         n_iter = np.concatenate(lr_iters)
         logger.info("logistic regression: %d fits, %d iterations, %d converged", n_iter.size,
-                    n_iter.sum(), np.count_nonzero(n_iter < lr.max_iter))
+                    n_iter.sum(), np.count_nonzero(n_iter < LogisticRegression().max_iter))
 
     for trial in range(protocol.trials):
         for e, (dq, cols) in enumerate(entries):

@@ -61,6 +61,9 @@ class ComponentError(RefselError):
         self.component_index = component_index
         self.__cause__ = cause
 
+    def __reduce__(self):  # pickled with its index and cause, as a worker process sends it
+        return type(self), (self.component_index, self.__cause__)
+
     @property
     def exit_code(self):
         if isinstance(self.__cause__, RefselError):

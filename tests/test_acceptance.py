@@ -482,6 +482,9 @@ directory = {out}
         return adam_step(*args)
 
     monkeypatch.setattr(nn, "adam_step", counted_adam_step)
+    # One CPU: every stack trains in this process, where its CPU time and its
+    # Adam steps are counted.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def timed_select(b):
         # CPU time of this process: load from other processes on the machine

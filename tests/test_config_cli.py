@@ -18,6 +18,7 @@ import refsel.ensemble
 from refsel import load_csv, make_planted_dataset, save_csv
 from refsel.cli import _selection_filename, main
 from refsel.config import DEFAULT_DELTAS, load_run_config
+from refsel.ensemble import component_seeds
 from refsel.exceptions import UsageError
 
 CONFIG_TEMPLATE = """
@@ -194,14 +195,19 @@ def test_cli_overrides_change_manifest(run_dir):
     assert len(list(out_dir.glob("selection_delta_*.json"))) == 1
 
 
-def test_select_loss_lines_name_each_stacks_components(run_dir, caplog):
+def test_select_loss_lines_name_each_stacks_components(run_dir, monkeypatch, caplog):
+    # On four CPUs the second and third stacks train in children, whose lines
+    # are logged here in stack order.
     cfg_path, _ = run_dir
-    with caplog.at_level("INFO", logger="refsel.ensemble"):
-        assert main(["select", "--config", str(cfg_path),
-                     "--components", "5", "--parallelism", "2"]) == 0
-    lines = [r.getMessage() for r in caplog.records if r.name == "refsel.ensemble"]
-    assert [line.rsplit(" (", 1)[-1] for line in lines] == [
-        "components 0-1)", "components 2-3)", "components 4-4)"]
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        caplog.clear()
+        with caplog.at_level("INFO", logger="refsel.ensemble"):
+            assert main(["select", "--config", str(cfg_path),
+                         "--components", "5", "--parallelism", "2"]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "refsel.ensemble"]
+        assert [line.rsplit(" (", 1)[-1] for line in lines] == [
+            "components 0-1)", "components 2-3)", "components 4-4)"]
 
 
 def test_evaluate_consumes_select_outputs(run_dir):
@@ -825,26 +831,28 @@ def test_divergence_inside_adam_is_blamed_on_adam(tmp_path, capsys):
 
 def test_late_failure_leaves_earlier_outputs_untouched(run_dir, monkeypatch, capsys):
     # The second stack fails after the first was streamed into the Q export.
+    # The fault is keyed on component 1's model seed, so it hits that component
+    # in whichever process trains it.
     cfg_path, out_dir = run_dir
     for command in ("select", "export-q"):
         assert main([command, "--config", str(cfg_path)]) == 0
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     score = refsel.ensemble.reconstruction_errors
-    calls = []
+    second = (component_seeds(11, 1)[1],)
 
-    def second_stack_nan(*args, **kwargs):
-        errors = score(*args, **kwargs)
-        calls.append(None)
-        if len(calls) == 2:
+    def second_component_nan(model, *args, **kwargs):
+        errors = score(model, *args, **kwargs)
+        if model.config.seeds == second:
             errors[...] = np.nan
         return errors
 
-    monkeypatch.setattr(refsel.ensemble, "reconstruction_errors", second_stack_nan)
-    for command in ("export-q", "select"):
-        calls.clear()
-        assert main([command, "--config", str(cfg_path), "--parallelism", "1"]) == 3
-        assert "component 1: non-finite reconstruction errors" in capsys.readouterr().err
-        assert len(calls) == 2
+    monkeypatch.setattr(refsel.ensemble, "reconstruction_errors", second_component_nan)
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for command in ("export-q", "select"):
+            assert main([command, "--config", str(cfg_path), "--parallelism", "1"]) == 3
+            assert "component 1: non-finite reconstruction errors" in capsys.readouterr().err
+            no_process_left()
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
     assert not list(out_dir.glob(".q_matrix.csv.*.tmp"))
 
@@ -875,3 +883,69 @@ def test_failed_formatting_child_leaves_no_file_or_process(
     assert list(out_dir.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_component_error_names_the_global_component(run_dir, monkeypatch, capsys):
+    # Stack 2-3 trains in a child on four CPUs; component 3, second in it, fails.
+    cfg_path, out_dir = run_dir
+    score = refsel.ensemble.reconstruction_errors
+    fourth = component_seeds(11, 3)[1]
+
+    def fourth_component_nan(model, *args, **kwargs):
+        errors = score(model, *args, **kwargs)
+        if fourth in model.config.seeds:
+            errors[model.config.seeds.index(fourth)] = np.nan
+        return errors
+
+    monkeypatch.setattr(refsel.ensemble, "reconstruction_errors", fourth_component_nan)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    for command in ("select", "export-q"):
+        assert main([command, "--config", str(cfg_path),
+                     "--components", "5", "--parallelism", "2"]) == 3
+        assert capsys.readouterr().err == "error: component 3: non-finite reconstruction errors\n"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+        no_process_left()
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+def test_killed_worker_leaves_no_file_or_process(run_dir, monkeypatch, capsys, command):
+    cfg_path, out_dir = run_dir
+    parent, run_ensemble = os.getpid(), refsel.cli.run_ensemble
+
+    def killed_in_a_child(data, cfg, components):
+        if os.getpid() != parent and components.start == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_ensemble(data, cfg, components=components)
+
+    monkeypatch.setattr(refsel.cli, "run_ensemble", killed_in_a_child)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert main([command, "--config", str(cfg_path), "--parallelism", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a worker process exited with status -9 before sending its result\n"
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    no_process_left()
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+def test_interrupted_training_leaves_no_file_or_process(run_dir, monkeypatch, command):
+    # Six stacks on four CPUs: Ctrl-C reaches this process while it trains
+    # stack 4, with stack 5 training in a child, where SIGINT stays blocked.
+    cfg_path, out_dir = run_dir
+    run_ensemble = refsel.cli.run_ensemble
+
+    def interrupted(data, cfg, components):
+        if components.start >= 4:
+            os.kill(os.getpid(), signal.SIGINT)
+        return run_ensemble(data, cfg, components=components)
+
+    monkeypatch.setattr(refsel.cli, "run_ensemble", interrupted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    with pytest.raises(KeyboardInterrupt):
+        main([command, "--config", str(cfg_path), "--components", "6", "--parallelism", "1"])
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    no_process_left()

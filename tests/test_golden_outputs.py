@@ -2,7 +2,7 @@
 
 A tiny planted workload runs ``select``, ``export-q`` and ``benchmark`` at
 ``--parallelism`` 1, 2 and 4, and ``evaluate`` on each ``select`` run's
-outputs; ``export-q`` runs again as if on one CPU and on four. The SHA-256
+outputs; all four run again as if on one CPU and on four. The SHA-256
 of every output file is compared against one shared table in
 ``tests/golden/digests.json``, so the test pins both the bytes a change
 leaves alone and their invariance to ``parallelism`` and the CPU count. Manifests are
@@ -108,15 +108,14 @@ def _snapshot(directory: Path) -> dict:
     return {p.name: _digest(p) for p in sorted(directory.iterdir())}
 
 
-def run_workload(root: Path, parallelism: int,
-                 commands=("select", "export-q", "benchmark")) -> dict:
-    """Digests of every output file of ``commands`` (and evaluate), keyed 'command/file'."""
+def run_workload(root: Path, parallelism: int) -> dict:
+    """Digests of every output file of every command, keyed 'command/file'."""
     data_path = root / "data.csv"
     if not data_path.exists():
         data, _ = make_planted_dataset(240, 32, 12, n_planted=3, shift=2.0, seed=5)
         save_csv(data, data_path)
     digests = {}
-    for command in commands:
+    for command in ("select", "export-q", "benchmark"):
         out = root / f"p{parallelism}" / command
         cfg = root / f"p{parallelism}_{command}.ini"
         cfg.write_text(CONFIG.format(data_path=data_path, out_dir=out), encoding="utf-8")
@@ -152,14 +151,14 @@ def test_outputs_match_golden_digests(tmp_path):
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_export_q_is_the_same_on_any_number_of_cpus(tmp_path, monkeypatch, cpus):
-    # export-q formats each of its five blocks in a child, one child per CPU at a time.
+def test_outputs_are_the_same_on_any_number_of_cpus(tmp_path, monkeypatch, cpus):
+    # Training (five stacks) and evaluation (chunks of trials) run in rounds
+    # of one item per CPU; export-q also formats each block in a child.
     expected = json.loads(DIGESTS.read_text(encoding="utf-8")).get(machine_key())
     if expected is None:
-        expected = run_workload(tmp_path / "unpatched", 1, ["export-q"])
+        expected = run_workload(tmp_path / "unpatched", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    got = run_workload(tmp_path, 1, ["export-q"])
-    assert changed({k: v for k, v in expected.items() if k.startswith("export-q/")}, got) == []
+    assert changed(expected, run_workload(tmp_path, 1)) == []
 
 
 def regenerate() -> None:
