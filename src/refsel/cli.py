@@ -3,7 +3,8 @@
 Every run writes a manifest echoing the resolved configuration; those of the
 commands that train also list the component seeds. Any output can thus be
 reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric failure.
+error, 2 data error, 3 numeric failure, 143 on SIGTERM, which unwinds a run
+like Ctrl-C: its worker processes are killed and its temp files removed.
 
 Training and evaluation use every CPU of the process's affinity mask
 (``taskset`` restricts it): the stacks of components, and the chunks of
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import signal
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -280,6 +282,8 @@ def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
+    # SIGTERM unwinds like Ctrl-C: workers are killed and temp files removed.
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -292,6 +296,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import os
 import shutil
 import struct
 import tempfile
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from .ensemble import SelectionResult
 from .evaluate import EvalReport
 from .exceptions import DataError, FormatError, ParameterError, ParseError
 from .sampling import LabeledDataset, stratified_rows
-from .workers import fork, kill, reap
+from .workers import kill, receive, spawn
 
 SCALING_MODES = ("unit_interval", "symmetric_unit")
 
@@ -448,11 +447,12 @@ def report_to_dict(report: EvalReport) -> dict:
 def export_q_csv(blocks, path, feature_names=None) -> None:
     """Write Q's REMatrix blocks with a label column, each block's lines formatted in a child.
 
-    Each block is handed to a forked child as soon as it is drawn, and let go
-    in the parent, which draws the next while the child writes the block's
-    lines to a part file beside ``path``. At most one child per CPU of the
-    affinity mask runs at a time; the parts are appended in block order. On
-    any failure the children are killed and reaped and the parts removed.
+    Each block is handed to a child forked (``workers.spawn``) as soon as it
+    is drawn, and let go in the parent, which draws the next while the child
+    writes the block's lines to a part file beside ``path`` and answers with
+    its name. At most one child per CPU of the affinity mask runs at a time;
+    the parts are appended in block order. On any failure the children are
+    killed and reaped and the parts removed.
     """
     blocks = iter(blocks)
     block = next(blocks, None)
@@ -463,43 +463,33 @@ def export_q_csv(blocks, path, feature_names=None) -> None:
         raise DataError("feature_names length must match Q columns")
     path = Path(path)
     slots = len(os.sched_getaffinity(0))
-    running = deque()  # pid of each child, in block order; it writes the part parts/<pid>
+    children = []  # (pid, pipe) of each formatting child, in block order
     with open_atomic(path) as fh, tempfile.TemporaryDirectory(
             dir=path.parent, prefix=f".{path.name}.", suffix=".parts") as parts:
         fh.write(_header_line([*names, "label"]))
         try:
             while block is not None:
-                if len(running) == slots:
-                    _append_part(fh, parts, running)
-                fork(functools.partial(_format_part, block, parts), running)
+                if len(children) == slots:
+                    _append_part(fh, receive(children))
+                spawn(functools.partial(_write_part, parts), block, children)
                 del block  # the child has it in its own memory; the parent draws the next
                 block = next(blocks, None)
-            while running:
-                _append_part(fh, parts, running)
+            while children:
+                _append_part(fh, receive(children))
         finally:
-            kill(running)
+            kill(children)
 
 
-def _format_part(block, parts) -> int:
-    """In a child: write ``block``'s CSV lines to ``parts``/<pid>; 0, an OSError's errno, or 255."""
-    try:
-        with open(os.path.join(parts, str(os.getpid())), "w", encoding="utf-8") as out:
-            _write_rows(out, _labelled_rows(block.Q, block.labels))
-    except OSError as exc:
-        return exc.errno if 0 < (exc.errno or 0) < 255 else 255
-    return 0
+def _write_part(parts, block) -> str:
+    """In a child: write ``block``'s CSV lines to a new file in ``parts``; its path."""
+    fd, part = tempfile.mkstemp(dir=parts)
+    with open(fd, "w", encoding="utf-8") as out:
+        _write_rows(out, _labelled_rows(block.Q, block.labels))
+    return part
 
 
-def _append_part(fh, parts, running) -> None:
-    """Wait for the oldest child; append its part to ``fh`` and delete it."""
-    pid = running[0]
-    code = reap(pid)
-    running.popleft()
-    part = os.path.join(parts, str(pid))
-    if 0 < code < 255:
-        raise OSError(code, os.strerror(code), part)
-    if code:
-        raise OSError(f"the process formatting {part} exited with status {code}")
+def _append_part(fh, part) -> None:
+    """Append the file ``part`` to ``fh`` and delete it."""
     fh.flush()
     with open(part, "rb") as src:
         shutil.copyfileobj(src, fh.buffer)

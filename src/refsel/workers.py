@@ -1,64 +1,106 @@
-"""Independent pieces of work on every CPU: one forked, ordered map.
+"""Independent pieces of work on every CPU: forked children and an ordered map.
 
-``ordered_map`` runs a function over items in rounds of W, the CPU count of
-the process's affinity mask (``taskset`` restricts it): a round's first item
-runs in this process, each of the others in a child forked for it. A child
-inherits its item, and everything else, by fork; only its result, or its
-exception, and its log records come back, pickled with protocol 5, so that
-arrays travel as raw bytes read straight into the buffers they end up in.
-``fork``, ``reap`` and ``kill`` are the process primitives; ``export_q_csv``
-uses them for its formatting children too. POSIX only.
+A child is forked for one item by ``spawn``: it inherits the item, and
+everything else, by fork, and answers through its own pipe with one
+protocol-5 pickle of its log records and its result or exception. A
+writable array goes in-band as one raw buffer, which ``receive`` reads
+straight into the array it ends up in. ``kill`` ends every child still
+running. ``ordered_map`` and ``export_q_csv`` are built on these three.
+POSIX only.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import logging
 import os
 import pickle
 import signal
-import struct
 
 
-def fork(child, running) -> None:
-    """Run ``child()`` in a forked process that exits with the int it returns.
+def spawn(fn, item, children) -> None:
+    """Fork a child that runs ``fn(item)`` and answers; append its (pid, pipe) to ``children``.
 
-    The process exits 255 if ``child`` raises, and never returns into the
-    caller's stack. Its pid is appended to ``running``. SIGINT is blocked
-    across the fork and stays blocked in the child, so Ctrl-C reaches only
-    this process, which kills its children; the pid is recorded before
-    SIGINT is unblocked, so an interrupt cannot orphan the child.
+    The child closes its copy of the pipe's read end, so once this process
+    is gone its write fails and it exits. SIGINT and SIGTERM are blocked
+    across the fork and stay blocked in the child; the child is recorded
+    before they are unblocked, so a signal cannot orphan it.
     """
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT, signal.SIGTERM])
+    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
-            code = 255
-            try:
-                code = child()
-            finally:
-                os._exit(code)
-        running.append(pid)
+            _answer(fn, item, read_fd, write_fd)
+        children.append((pid, open(read_fd, "rb")))
+    except BaseException:
+        os.close(read_fd)
+        raise
     finally:
+        os.close(write_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def reap(pid) -> int:
-    """Wait for child ``pid``: its exit code, or minus the signal that killed it."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _answer(fn, item, read_fd, write_fd):
+    """In a child: pickle (log records, ok, result or exception) to ``write_fd``; exit 0 or 255."""
+    code = 255
+    try:
+        os.close(read_fd)
+        records = []
+        # Records that pass a logger's level and filters are kept, not handled here.
+        logging.Logger.callHandlers = lambda logger, record: records.append(_detached(record))
+        try:
+            outcome = True, fn(item)
+        except BaseException as exc:  # sent back: the parent raises every failure
+            outcome = False, exc
+        with open(write_fd, "wb") as out:
+            pickle.dump((records, *outcome), out, protocol=5)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def kill(running) -> None:
-    """SIGKILL and reap every child in ``running``, and empty it."""
-    for pid in running:
+def _detached(record):
+    """``record`` with its message formatted, so it pickles whatever its arguments are."""
+    if record.exc_info:
+        record.exc_text = logging.Formatter().formatException(record.exc_info)
+    record.msg, record.args, record.exc_info = record.getMessage(), None, None
+    return record
+
+
+def receive(children):
+    """The first child's result: its records handled here, the child reaped, its exception raised.
+
+    A child that dies without sending its whole answer raises OSError.
+    """
+    pid, pipe = children[0]
+    try:
+        records, ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the stream ends, or is cut, early
+        ok = None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[0]
+    pipe.close()
+    if code or ok is None:
+        raise OSError(f"a worker process exited with status {code} before sending its result")
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if not ok:
+        raise value
+    return value
+
+
+def kill(children) -> None:
+    """SIGKILL and reap every child in ``children``, close their pipes, and empty it."""
+    for pid, _ in children:
         with contextlib.suppress(ProcessLookupError):  # reaped by an interrupted caller
             os.kill(pid, signal.SIGKILL)
-    for pid in running:
+    for pid, pipe in children:
         with contextlib.suppress(ChildProcessError):
             os.waitpid(pid, 0)
-    running.clear()
+        pipe.close()
+    children.clear()
 
 
 def ordered_map(fn, items):
@@ -75,83 +117,13 @@ def ordered_map(fn, items):
     """
     workers = len(os.sched_getaffinity(0))
     items = iter(items)
-    running, readers = [], []  # pid and result pipe of each child, in item order
+    children = []  # (pid, result pipe) of each child, in item order
     try:
         while batch := list(itertools.islice(items, workers)):
             for item in batch[1:]:
-                read_fd, write_fd = os.pipe()
-                readers.append(open(read_fd, "rb"))
-                try:
-                    fork(functools.partial(_send, fn, item, write_fd), running)
-                finally:
-                    os.close(write_fd)
+                spawn(fn, item, children)
             yield fn(batch[0])
-            while readers:
-                yield _receive(readers[0], running)
-                readers.pop(0).close()
+            while children:
+                yield receive(children)
     finally:
-        kill(running)
-        for reader in readers:
-            reader.close()
-
-
-def _send(fn, item, write_fd) -> int:
-    """In a child: run ``fn(item)`` and write its outcome and log records to ``write_fd``."""
-    records = []
-    # Records that pass a logger's level and filters are kept, not handled here.
-    logging.Logger.callHandlers = lambda logger, record: records.append(_detached(record))
-    try:
-        outcome = True, fn(item)
-    except BaseException as exc:  # sent back: the parent raises every failure
-        outcome = False, exc
-    buffers = []
-    payload = pickle.dumps((records, *outcome), protocol=5, buffer_callback=buffers.append)
-    views = [buffer.raw() for buffer in buffers]
-    with open(write_fd, "wb") as out:
-        out.write(struct.pack(f"<QQ{len(views)}Q", len(payload), len(views),
-                              *(view.nbytes for view in views)))
-        out.write(payload)
-        for view in views:
-            out.write(view)
-    return 0
-
-
-def _detached(record):
-    """``record`` with its message formatted, so it pickles whatever its arguments are."""
-    if record.exc_info:
-        record.exc_text = logging.Formatter().formatException(record.exc_info)
-    record.msg, record.args, record.exc_info = record.getMessage(), None, None
-    return record
-
-
-def _receive(reader, running):
-    """The oldest child's result: read from ``reader``, its records handled, the child reaped."""
-    try:
-        size, count = struct.unpack("<QQ", _read(reader, 16))
-        lengths = struct.unpack(f"<{count}Q", _read(reader, 8 * count))
-        payload = _read(reader, size)
-        buffers = [_read(reader, length) for length in lengths]
-    except EOFError:
-        payload = None
-    code = reap(running[0])
-    del running[0]
-    if code or payload is None:
-        raise OSError(f"a worker process exited with status {code} before sending its result")
-    records, ok, value = pickle.loads(payload, buffers=buffers)
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if not ok:
-        raise value
-    return value
-
-
-def _read(reader, size) -> bytearray:
-    """Exactly ``size`` bytes from ``reader``, into one new buffer; EOFError if it ends first."""
-    data = bytearray(size)
-    view, filled = memoryview(data), 0
-    while filled < size:
-        n = reader.readinto(view[filled:])
-        if not n:
-            raise EOFError
-        filled += n
-    return data
+        kill(children)

@@ -7,12 +7,16 @@ import os
 import re
 import signal
 import struct
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refsel
 import refsel.data
 import refsel.ensemble
 from refsel import load_csv, make_planted_dataset, save_csv
@@ -20,6 +24,8 @@ from refsel.cli import _selection_filename, main
 from refsel.config import DEFAULT_DELTAS, load_run_config
 from refsel.ensemble import component_seeds
 from refsel.exceptions import UsageError
+
+SRC = str(Path(refsel.__file__).parents[1])
 
 CONFIG_TEMPLATE = """
 [data]
@@ -867,8 +873,8 @@ def killed(matrix, labels):
 
 @pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("fault, message", [
-    (no_space, "error: [Errno 28] No space left on device: "),
-    (killed, "error: the process formatting "),
+    (no_space, "error: [Errno 28] No space left on device"),
+    (killed, "error: a worker process exited with status -9"),
 ], ids=["no_space", "killed"])
 def test_failed_formatting_child_leaves_no_file_or_process(
         run_dir, monkeypatch, capsys, cpus, fault, message):
@@ -949,3 +955,41 @@ def test_interrupted_training_leaves_no_file_or_process(run_dir, monkeypatch, co
         main([command, "--config", str(cfg_path), "--components", "6", "--parallelism", "1"])
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
     no_process_left()
+
+
+TERMINATED_RUN = """
+import os, signal, sys
+import refsel.cli
+os.sched_getaffinity = lambda pid: set(range(4))
+run_ensemble = refsel.cli.run_ensemble
+
+def terminated(data, cfg, components):
+    if components.start == 4:
+        os.kill(os.getpid(), signal.SIGTERM)
+    return run_ensemble(data, cfg, components=components)
+
+refsel.cli.run_ensemble = terminated
+sys.exit(refsel.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+def test_terminated_run_exits_143_and_leaves_no_file_or_process(run_dir, command):
+    # As above, with SIGTERM, in a process of its own: here it would stop the test run.
+    cfg_path, out_dir = run_dir
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TERMINATED_RUN, command, "--config", str(cfg_path),
+         "--components", "6", "--parallelism", "1"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 143, run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    assert subprocess.run(["pgrep", "-f", str(cfg_path)]).returncode == 1  # no process matched
+    no_process_left()
+
+
+def test_main_restores_the_sigterm_handler(run_dir):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["select", "--config", str(run_dir[0]), "--components", "0"]) == 1
+    assert signal.getsignal(signal.SIGTERM) is before

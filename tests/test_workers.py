@@ -5,13 +5,20 @@ import logging
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refsel
 from refsel.exceptions import ComponentError, NumericError, ParseError
 from refsel.workers import ordered_map
+
+SRC = str(Path(refsel.__file__).parents[1])
 
 
 @pytest.fixture
@@ -127,6 +134,94 @@ def test_a_child_that_dies_raises_os_error(cpus):
 
     with pytest.raises(OSError, match="exited with status -9 before sending its result"):
         list(ordered_map(work, range(4)))
+    no_process_left()
+
+
+def test_a_child_killed_while_sending_raises_os_error(cpus):
+    # The child dies with its 1 MiB array part sent: the stream is cut inside the array.
+    cpus(2)
+    read_fd, write_fd = os.pipe()
+
+    def work(i):
+        if i:  # in the child
+            os.write(write_fd, str(os.getpid()).encode())
+            return np.ones(1 << 17)
+        child = int(os.read(read_fd, 32))
+        time.sleep(0.5)  # the child's result fills its pipe; it waits for this process to read
+        os.kill(child, signal.SIGKILL)
+
+    try:
+        with pytest.raises(OSError, match="exited with status -9 before sending its result"):
+            list(ordered_map(work, range(2)))
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    no_process_left()
+
+
+def test_a_childs_array_is_read_straight_into_its_buffer(cpus):
+    cpus(2)
+    size = 8 << 20
+    results = ordered_map(lambda i: np.ones(size // 8) if i else None, range(2))
+    assert next(results) is None
+    tracemalloc.start()
+    try:
+        received = next(results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert received.nbytes == size and received.flags.writeable
+    assert peak < 1.25 * size, peak
+    no_process_left()
+
+
+def gone(pid) -> bool:
+    """Whether process ``pid`` has exited (a zombie left unreaped by its new parent counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_a_child_whose_parent_dies_exits(tmp_path):
+    # The child's result outgrows the pipe; once its parent is killed, its write must fail.
+    pid_file = tmp_path / "child.pid"
+    script = f"""
+import os, time
+import numpy as np
+from refsel.workers import ordered_map
+os.sched_getaffinity = lambda pid: {{0, 1}}
+
+def work(i):
+    if i == 0:
+        time.sleep(60)
+    with open({str(pid_file)!r} + ".tmp", "w") as out:
+        out.write(str(os.getpid()))
+    os.replace({str(pid_file)!r} + ".tmp", {str(pid_file)!r})
+    return np.ones(1 << 18)
+
+list(ordered_map(work, range(2)))
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        parent.kill()
+        parent.wait()
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 10
+    while not gone(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert gone(child), "the orphaned child is still running"
+    finally:
+        if not gone(child):
+            os.kill(child, signal.SIGKILL)
     no_process_left()
 
 
