@@ -464,7 +464,7 @@ encoder_activations = tanh
 decoder = 8-16-40
 decoder_activations = tanh-sigmoid
 [training]
-epochs = 20
+epochs = 90
 batch_size = 64
 [selection]
 deltas = 0.9
@@ -498,7 +498,9 @@ directory = {out}
     timed_select(5)  # warm-up: BLAS and import costs land here
     # Rounds over every b, so a drift in machine speed reaches all three alike.
     # On a shared machine one run's CPU time can read 60% above the fastest of
-    # its b, so each b takes the fastest of seven.
+    # its b, so each b takes the fastest of seven. The 90 epochs make the
+    # fastest b = 5 run use about 0.5 s of CPU: at 20, its 0.13-0.19 s moved
+    # with machine load by more than the bound's margin.
     rounds = [{b: timed_select(b) for b in (5, 10, 20)} for _ in range(7)]
     times = {b: min(r[b][0] for r in rounds) for b in (5, 10, 20)}
     adam_steps = {b: rounds[0][b][1] for b in (5, 10, 20)}

@@ -989,6 +989,40 @@ def test_terminated_run_exits_143_and_leaves_no_file_or_process(run_dir, command
     no_process_left()
 
 
+TERMINATED_IO = """
+import os, signal, sys
+import refsel.cli, refsel.data
+os.sched_getaffinity = lambda pid: set(range(4))
+refsel.data.CSV_RANGE_BYTES, refsel.data.CSV_CHUNK_CELLS = 1024, 13
+parent, hooked = os.getpid(), getattr(refsel.data, sys.argv[1])
+
+def terminated(*args):
+    if os.getpid() == parent:
+        os.kill(parent, signal.SIGTERM)
+    return hooked(*args)
+
+setattr(refsel.data, sys.argv[1], terminated)
+sys.exit(refsel.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("hook", ["_parse_into", "_labelled_rows"], ids=["parse", "write"])
+def test_terminated_csv_parse_or_write_leaves_no_file_or_process(run_dir, hook):
+    # SIGTERM in this process's own range of data.csv, or its own chunk of
+    # cds.csv's rows, while children parse or format the others.
+    cfg_path, out_dir = run_dir
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TERMINATED_IO, hook, "select", "--config", str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 143, run.stderr
+    assert "Traceback" not in run.stderr
+    left = sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else []
+    assert "cds.csv" not in left and not [name for name in left if name.startswith(".")]
+    assert subprocess.run(["pgrep", "-f", str(cfg_path)]).returncode == 1  # no process matched
+    no_process_left()
+
+
 def test_main_restores_the_sigterm_handler(run_dir):
     before = signal.getsignal(signal.SIGTERM)
     assert main(["select", "--config", str(run_dir[0]), "--components", "0"]) == 1

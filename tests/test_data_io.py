@@ -1,5 +1,6 @@
 """CSV/IDX loading, dataset carving, scaling, and persistence round trips."""
 
+import bisect
 import csv
 import json
 import os
@@ -23,6 +24,7 @@ from refsel import (
     save_selection,
     select_features,
 )
+from refsel import data as data_module
 from refsel.data import export_q_csv, write_csv
 from refsel.ensemble import REMatrix
 from refsel.exceptions import DataError, FormatError, ParameterError, ParseError
@@ -35,6 +37,18 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def cut_fine(monkeypatch, cpus):
+    """Report ``cpus`` CPUs; cut CSV bodies into few-byte ranges and rows into 1-row chunks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(data_module, "CSV_RANGE_BYTES", 4)
+    monkeypatch.setattr(data_module, "CSV_CHUNK_CELLS", 1)
+
+
+def no_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_load_csv_minority_by_count(tmp_path):
@@ -285,20 +299,111 @@ def csv_path(tmp_path_factory):
 @example(("c0,label\n", "label", None))
 @example(("", 0, None))
 def test_load_csv_matches_per_cell_reference(csv_path, document):
+    # Each document is also loaded at 1 and 4 reported CPUs with ranges a few
+    # bytes long: at 4, a fault may lie in any range, and a quote sends the
+    # rest of the body to one pass.
     text, label, minority = document
     csv_path.write_text(text, encoding="utf-8", newline="")
     try:
         expected = reference_load_csv(csv_path, label, minority)
     except DataError as exc:
-        with pytest.raises(type(exc)) as got:
-            load_csv(csv_path, label, minority)
-        assert str(got.value) == str(exc)
+        expected = exc
+    for cpus in (None, 1, 4):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if cpus is not None:
+                cut_fine(monkeypatch, cpus)
+            assert_loads_as(csv_path, label, minority, expected)
+        no_process_left()
+
+
+def assert_loads_as(path, label, minority, expected):
+    """load_csv gives ``expected``: the same dataset bit for bit, or its DataError message."""
+    if isinstance(expected, DataError):
+        with pytest.raises(type(expected)) as got:
+            load_csv(path, label, minority)
+        assert str(got.value) == str(expected)
         return
-    got = load_csv(csv_path, label, minority)
+    got = load_csv(path, label, minority)
     assert got.X.shape == expected.X.shape
     assert np.array_equal(got.X.view(np.int64), expected.X.view(np.int64))
     assert np.array_equal(got.y, expected.y)
     assert got.feature_names == expected.feature_names
+
+
+def good_rows(n):
+    return "".join(f"{i},{i / 7!r},{'ab'[i % 3 == 0]}\n" for i in range(n))
+
+
+def invalid_utf8_at_line_1500():
+    lines = [b"f1,f2,target"] + [b"%d,1,%s" % (i, b"ab"[i % 2:i % 2 + 1]) for i in range(2000)]
+    lines[1499] += b"\xff"
+    return b"\n".join(lines) + b"\n"
+
+
+# (text, the fault's first bytes, the one of 4 ranges it lies in, message)
+LATER_FAULTS = {
+    "non_numeric": ("f1,f2,target\n" + good_rows(40) + "oops,1,b\n", b"oops", 3,
+                    "line 42: non-numeric value 'oops' in column 'f1'"),
+    "ragged": ("f1,f2,target\n" + good_rows(40) + "3,4\n", b"3,4\n", 3,
+               "line 42: expected 3 fields, found 2"),
+    "non_finite": ("f1,f2,target\n" + good_rows(40) + "5,inf,b\n", b"inf", 3,
+                   "line 42: non-finite value inf in column 'f2'"),
+    "invalid_utf8": (invalid_utf8_at_line_1500(), b"\xff", 2,
+                     "line 1500: not UTF-8: invalid start byte"),
+    # A stray quote runs its field past the csv module's field size limit.
+    "unclosed_quote": ("f1,f2,target\n" + "5,6,a\n" * 20000 + '"3,4,b\n' + "5,6,a\n" * 30000,
+                       b'"', 1, "line 41847: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("fault", LATER_FAULTS)
+def test_load_csv_cites_a_fault_in_a_later_range_as_one_pass_does(tmp_path, monkeypatch,
+                                                                  fault, cpus):
+    text, marker, in_range, message = LATER_FAULTS[fault]
+    text = text if isinstance(text, bytes) else text.encode()
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as one_pass:
+        load_csv(path, label="target")
+    assert str(one_pass.value) == message
+    cut_fine(monkeypatch, cpus)
+    cuts = data_module._line_cuts(path, len("f1,f2,target\n"), len(text))
+    assert len(cuts) == cpus + 1
+    if cpus == 4:
+        assert bisect.bisect(cuts, text.rfind(marker)) - 1 == in_range
+    with pytest.raises(ParseError) as ranged:
+        load_csv(path, label="target")
+    assert str(ranged.value) == message
+    no_process_left()
+
+
+def test_load_csv_reads_a_quoted_label_with_a_newline_across_a_cut(tmp_path, monkeypatch):
+    labels = ['"b\nb"' if i % 3 == 0 else "a" for i in range(40)]
+    text = "f1,f2,target\n" + "".join(f"{i},{i / 7!r},{v}\n" for i, v in enumerate(labels))
+    path = write(tmp_path, "d.csv", text)
+    expected = reference_load_csv(path, "target")
+    cut_fine(monkeypatch, 4)
+    cuts = data_module._line_cuts(path, len("f1,f2,target\n"), len(text))
+    assert any(text[:cut].count('"') % 2 for cut in cuts[1:-1])  # a cut inside a quoted label
+    assert_loads_as(path, "target", None, expected)
+    no_process_left()
+
+
+def test_load_csv_interrupted_in_a_range_leaves_no_process(tmp_path, monkeypatch):
+    path = write(tmp_path, "d.csv", "f1,f2,target\n" + good_rows(40))
+    parent, parse_into = os.getpid(), data_module._parse_into
+
+    def interrupted(*args, **kwargs):  # Ctrl-C in this process's range, the others in children
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_into(*args, **kwargs)
+
+    monkeypatch.setattr(data_module, "_parse_into", interrupted)
+    cut_fine(monkeypatch, 4)
+    with pytest.raises(KeyboardInterrupt):
+        load_csv(path, label="target")
+    no_process_left()
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +647,37 @@ EDGE_VALUES = np.array([
     (["a", "b", "c", "d"], "label"),
     (None, "target"),
 ])
-def test_save_csv_matches_joined_reference(tmp_path, names, label_name):
+def test_save_csv_matches_joined_reference(tmp_path, monkeypatch, names, label_name):
     data = LabeledDataset(X=EDGE_VALUES, y=np.array([0, 1, 0, 0]), feature_names=names)
     path = tmp_path / "d.csv"
-    save_csv(data, path, label_name=label_name)
     header = (names or [f"f{i}" for i in range(4)]) + [label_name]
-    assert path.read_bytes() == reference_matrix_csv(header, data.X, data.y).encode()
+    expected = reference_matrix_csv(header, data.X, data.y).encode()
+    save_csv(data, path, label_name=label_name)
+    assert path.read_bytes() == expected
+    for cpus in (1, 4):  # one row per chunk
+        cut_fine(monkeypatch, cpus)
+        save_csv(data, path, label_name=label_name)
+        assert path.read_bytes() == expected
+    no_process_left()
+
+
+def test_save_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatch):
+    data = LabeledDataset(X=np.tile(EDGE_VALUES, (3, 1)), y=np.tile([0, 1, 0, 0], 3))
+    parent, labelled_rows, calls = os.getpid(), data_module._labelled_rows, []
+
+    def interrupted(matrix, labels):  # Ctrl-C as this process formats its second chunk
+        if os.getpid() == parent:
+            calls.append(len(labels))
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return labelled_rows(matrix, labels)
+
+    monkeypatch.setattr(data_module, "_labelled_rows", interrupted)
+    cut_fine(monkeypatch, 4)
+    with pytest.raises(KeyboardInterrupt):
+        save_csv(data, tmp_path / "d.csv")
+    assert list(tmp_path.iterdir()) == []
+    no_process_left()
 
 
 @pytest.mark.parametrize("names", [None, ["w", "x", "y", "z"]])
@@ -650,5 +780,4 @@ def test_export_q_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         export_q_csv(blocks(), tmp_path / "q.csv")
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    no_process_left()

@@ -1,4 +1,4 @@
-"""Peak-memory gates for CSV and IDX ingest, scaling and scoring.
+"""Peak-memory gates for CSV and IDX ingest, CSV output, scaling and scoring.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it allocates and is the same on every run.
@@ -40,6 +40,16 @@ def test_load_csv_peak_is_within_twice_the_matrix(tmp_path):
     data, peak = traced_peak(lambda: load_csv(tmp_path / "d.csv", label="label"))
     assert data.X.shape == (4000, 200)
     assert peak <= 2 * data.X.nbytes
+
+
+def test_save_csv_peak_is_well_below_its_text(tmp_path):
+    rng = np.random.default_rng(3)
+    y = (np.arange(4000) % 4 == 0).astype(np.int64)
+    data = LabeledDataset(X=rng.uniform(size=(4000, 200)), y=y)
+    _, peak = traced_peak(lambda: save_csv(data, tmp_path / "d.csv"))
+    # Rows are formatted and written a chunk at a time; building the whole
+    # text would hold all of its 15 MB at once.
+    assert peak < (tmp_path / "d.csv").stat().st_size / 4
 
 
 def test_load_idx_converts_only_the_kept_rows(tmp_path):
