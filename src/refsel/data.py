@@ -5,10 +5,9 @@ IDX image/label pairs (big-endian magic 0x00000803 / 0x00000801, unsigned
 bytes). Every write streams through ``open_atomic``, a temp-file-then-rename,
 so partial files never appear under the final name.
 
-A large CSV is read and written on every CPU of the affinity mask through
-``workers.ordered_map``: ``load_csv`` parses byte ranges of the body cut at
-line ends, and ``save_csv`` formats chunks of rows. Neither the data nor a
-fault's message depends on the number of CPUs.
+A large CSV is read on every CPU of the affinity mask: ``load_csv`` parses
+byte ranges of its body, cut at line ends, through ``workers.ordered_map``.
+Neither the data nor a fault's message depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import io
 import json
 import math
 import os
-import pickle
 import shutil
 import struct
 import tempfile
@@ -43,11 +41,6 @@ SCALING_MODES = ("unit_interval", "symmetric_unit")
 # range holds at least this many bytes: a fork and its answer cost about as
 # much as parsing 0.2 MB of float cells.
 CSV_RANGE_BYTES = 512 * 1024
-# save_csv formats rows in chunks of about this many cells (about 650 kB of
-# text), each but the first of a round in a process of its own. The text of
-# one chunk is held at a time: twice as much raised the peak RSS of the demo
-# `select` by 0.6 MB.
-CSV_CHUNK_CELLS = 32 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -60,48 +53,21 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     must hold exactly two distinct values; the rarer one maps to 1, with
     ``minority_label`` as explicit override (required on a tie).
 
-    The body after the header is cut at line ends into up to one range per
-    CPU of the affinity mask, each of at least CSV_RANGE_BYTES, and the
-    ranges' feature cells are parsed with ``float`` through
-    ``workers.ordered_map``. Each range's values are appended, as they
-    arrive, to the one buffer that becomes ``X`` without a copy, so the parse
-    holds ``X`` and about one range. From the first range that meets a fault
-    or a quote (a quoted field may run across a cut), the rest of the body is
-    parsed again here in one pass that counts its lines on from the ranges
-    before it, so a fault is cited by the same line on any number of CPUs.
-    Only a record holding a cell ``float`` rejects is parsed again cell by
-    cell, to name that cell in the ParseError.
+    A body of at least two CSV_RANGE_BYTES is cut at line ends into up to one
+    range per CPU of the affinity mask, and the ranges are parsed through
+    ``workers.ordered_map`` (see _parse_ranges). Any other file, and any file
+    with a range that one pass might read otherwise, is parsed in one pass:
+    feature cells are parsed with ``float`` straight into one contiguous
+    buffer that becomes ``X`` without a copy, so the parse holds little more
+    than ``X`` itself. Only a record holding a cell ``float`` rejects is
+    parsed again cell by cell, to name that cell in the ParseError. Faults
+    are only ever reported by the one pass, so neither the data nor a fault's
+    message depends on the number of CPUs.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    header, lines, start = _read_header(path)
-    if isinstance(label, int):
-        if not 0 <= label < len(header):
-            raise DataError(f"label column index {label} out of range")
-        label_idx = label
-    else:
-        if label not in header:
-            raise DataError(f"label column {label!r} not in header {header}")
-        label_idx = header.index(label)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-    layout = (path, len(header), label_idx, feature_names)
-    values, raw_labels = array.array("d"), []
-    cuts = _line_cuts(path, start, path.stat().st_size)
-    if len(cuts) > 2:
-        try:
-            ranges = ordered_map(functools.partial(_parse_range, *layout), zip(cuts, cuts[1:]))
-            with closing(ranges) as parts:
-                for stop, (part, labels, n) in zip(cuts[1:], parts):
-                    values.frombytes(part)
-                    raw_labels += labels
-                    start, lines = stop, lines + n
-                    del part  # let the range's buffer go before the next one arrives
-        except (ParseError, _Quoted):
-            pass  # that range and the rest are parsed again below
-    if start < cuts[-1]:  # a small body, or the rest from a range that met a fault or a quote
-        _parse_into(values, raw_labels, *layout, (start, cuts[-1]), lines, quotes=True)
+    feature_names, values, raw_labels = _parse_ranges(path, label) or _parse(path, label)
 
     if not raw_labels:
         raise DataError(f"{path}: no data rows")
@@ -134,24 +100,84 @@ def load_csv(path, label, minority_label=None) -> LabeledDataset:
     return LabeledDataset(X=X, y=y, feature_names=feature_names)
 
 
-def _read_header(path):
-    """(header record, csv lines it spans, byte offset just after them) of the CSV at ``path``."""
-    with path.open("rb") as raw:
-        start = len(codecs.BOM_UTF8) if raw.read(3) == codecs.BOM_UTF8 else 0  # a BOM is dropped
-        raw.seek(start)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
-            spanned = []
+def _label_index(header, label):
+    """The index in ``header`` of the label column ``label``, a name or an index."""
+    if isinstance(label, int):
+        if not 0 <= label < len(header):
+            raise DataError(f"label column index {label} out of range")
+        return label
+    if label not in header:
+        raise DataError(f"label column {label!r} not in header {header}")
+    return header.index(label)
 
-            def lines():
-                for line in _decoded_lines(fh, path):
-                    spanned.append(line)
-                    yield line
 
+def _parse(path, label):
+    """(feature names, feature values, labels) of the CSV at ``path``, in one pass."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
+        reader = _records(csv.reader(_decoded_lines(fh, path)))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("file is empty", line=1) from None
+        label_idx = _label_index(header, label)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+
+        values, raw_labels = array.array("d"), []
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, found {len(record)}", line=lineno
+                )
+            raw_labels.append(record.pop(label_idx))
             try:
-                header = next(_records(csv.reader(lines())))
-            except StopIteration:
-                raise ParseError("file is empty", line=1) from None
-    return header, len(spanned), start + len("".join(spanned).encode("utf-8"))
+                values.extend(map(float, record))
+            except ValueError:
+                _raise_non_numeric(record, feature_names, lineno)
+                raise
+    return feature_names, values, raw_labels
+
+
+def _parse_ranges(path, label):
+    """(feature names, feature values, labels) of the CSV at ``path``, parsed in ranges.
+
+    The body after a one-line header is cut after a newline into up to one
+    range per CPU of the affinity mask, each of at least CSV_RANGE_BYTES, and
+    each range is parsed by _parse_range through ``workers.ordered_map``. Its
+    values are appended, in order, to one growing buffer. None, and every
+    child killed, if the file is not a regular file, the body is too small to
+    cut, or the header or a range holds an irregular line (see
+    _regular_lines) or a fault: the caller then parses the whole file in one
+    pass.
+    """
+    if not path.is_file():  # a pipe has no size, and a first read would consume it
+        return None
+    with path.open("rb") as fh:
+        head = fh.readline()
+    cuts = _line_cuts(path, len(head), path.stat().st_size)
+    if len(cuts) < 3:
+        return None
+    head = head.removeprefix(codecs.BOM_UTF8)  # as one pass drops a leading BOM
+    try:
+        line = next(_regular_lines(io.BytesIO(head), 0, len(head)))
+    except ValueError:
+        return None
+    header = next(csv.reader([line]))
+    try:
+        label_idx = _label_index(header, label)
+    except DataError:  # one pass may meet a fault before it
+        return None
+
+    values, raw_labels = array.array("d"), []
+    parse = functools.partial(_parse_range, path, len(header), label_idx)
+    with closing(ordered_map(parse, zip(cuts, cuts[1:]))) as parsed:
+        for records in parsed:
+            if records is None:
+                return None
+            features, labels = records
+            values.frombytes(features)
+            raw_labels += labels
+            del records, features  # let the range's values go before the next range arrives
+    return [h for i, h in enumerate(header) if i != label_idx], values, raw_labels
 
 
 def _line_cuts(path, start, stop):
@@ -171,67 +197,47 @@ def _line_cuts(path, start, stop):
     return [*cuts, stop]
 
 
-class _Quoted(Exception):
-    """A range of a CSV body holds a quote, so a quoted field may run across its cuts."""
+def _parse_range(path, fields, label_idx, span):
+    """(feature values as bytes, labels) of the records in bytes ``span`` of the CSV at ``path``.
 
-
-def _parse_range(path, fields, label_idx, names, span):
-    """The records in bytes ``span`` of the CSV at ``path``: (values, labels, csv lines).
-
-    ``values`` is a byte view of the feature cells, row after row. A line
-    holding a quote raises _Quoted before it is parsed.
+    The records are parsed by ``np.loadtxt``, which converts a cell with the
+    function ``float`` uses and accepts no cell ``float`` rejects, so its
+    values are those of one pass bit for bit. None if a line is irregular or
+    a record fails to parse: only one pass reports a fault with its line.
     """
-    values, labels = array.array("d"), []
-    lines = _parse_into(values, labels, path, fields, label_idx, names, span)
-    return pickle.PickleBuffer(memoryview(values).cast("B")), labels, lines
+    labels = []
+
+    def label(cell):
+        labels.append(cell)
+        return 0.0
+
+    try:
+        with path.open("rb") as fh:
+            rows = np.loadtxt(_regular_lines(fh, *span), delimiter=",", comments=None,
+                              converters={label_idx: label}, ndmin=2)
+    except ValueError:  # UnicodeDecodeError is one too
+        return None
+    if rows.shape[1] != fields:  # the first record sets loadtxt's field count
+        return None
+    return np.delete(rows, label_idx, axis=1).reshape(-1).view(np.uint8), labels
 
 
-def _parse_into(values, labels, path, fields, label_idx, names, span, lines=0, quotes=False):
-    """Append the records in bytes ``span`` of the CSV at ``path`` to ``values`` and ``labels``.
+def _regular_lines(fh, start, stop):
+    """The lines in bytes ``[start, stop)`` of binary file ``fh``, decoded as UTF-8.
 
-    Feature cells are parsed with ``float``. A ParseError's line counts on
-    from ``lines`` csv lines and ``len(labels)`` records before the span.
-    Unless ``quotes``, a line holding a quote raises _Quoted before it is
-    parsed. Returns the count of csv lines read.
+    A line that one pass might not read as one record split at every comma
+    raises ValueError: a quote may open a field that runs on across lines, a
+    carriage return ends a line, a blank line is a record of no fields (which
+    ``np.loadtxt`` skips) and a field longer than ``csv.field_size_limit()``
+    is a fault.
     """
-    with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-            _ByteRange(raw, *span), encoding="utf-8", newline="") as fh:
-        text = _decoded_lines(fh, path)
-        reader = csv.reader(text if quotes else _unquoted(text))
-        for lineno, record in enumerate(_records(reader, lines), start=len(labels) + 2):
-            if len(record) != fields:
-                raise ParseError(f"expected {fields} fields, found {len(record)}", line=lineno)
-            labels.append(record.pop(label_idx))
-            try:
-                values.extend(map(float, record))
-            except ValueError:
-                _raise_non_numeric(record, names, lineno)
-                raise
-    return reader.line_num
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``[start, stop)`` of the unbuffered binary file ``raw``, as a stream of their own."""
-
-    def __init__(self, raw, start, stop):
-        raw.seek(start)
-        self._raw, self._left = raw, stop - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        with memoryview(buffer) as view, view[:self._left] as part:
-            n = self._raw.readinto(part)
-        self._left -= n
-        return n
-
-
-def _unquoted(lines):
-    """``lines``, until one holding a quote raises _Quoted."""
-    for line in lines:
-        if '"' in line:
-            raise _Quoted
+    fh.seek(start)
+    limit = csv.field_size_limit()
+    while fh.tell() < stop:
+        line = fh.readline().decode("utf-8")
+        if ('"' in line or "\r" in line or line == "\n"
+                or len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError("an irregular line")
         yield line
 
 
@@ -264,35 +270,18 @@ def _decoded_lines(fh, path):
         raise ParseError(f"not UTF-8: {exc.reason}", line=line) from None
 
 
-def _records(reader, lines=0):
-    """The records of csv ``reader``; one it cannot split raises ParseError.
-
-    Its line counts on from ``lines`` lines before the reader's first.
-    """
+def _records(reader):
+    """The records of csv ``reader``; one it cannot split raises ParseError."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise ParseError(str(exc), line=lines + reader.line_num) from None
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:
-    """Write a LabeledDataset as CSV; floats keep full round-trip precision.
-
-    The rows are formatted in chunks of about CSV_CHUNK_CELLS cells through
-    ``workers.ordered_map``, up to one chunk per CPU of the affinity mask at
-    a time, and each chunk's text is written as it arrives, in row order:
-    the whole text is never held.
-    """
+    """Write a LabeledDataset as CSV; floats keep full round-trip precision."""
     names = dataset.feature_names or [f"f{i}" for i in range(dataset.n_features)]
-    step = max(1, CSV_CHUNK_CELLS // (len(names) + 1))
-
-    def text(rows):
-        return "".join(_lines(_labelled_rows(dataset.X[rows], dataset.y[rows])))
-
-    chunks = (slice(i, i + step) for i in range(0, len(dataset.y), step))
-    with open_atomic(path) as fh, closing(ordered_map(text, chunks)) as texts:
-        fh.write(_header_line([*names, label_name]))
-        fh.writelines(texts)
+    write_csv(path, [*names, label_name], _labelled_rows(dataset.X, dataset.y))
 
 
 def _labelled_rows(matrix, labels):
@@ -488,13 +477,8 @@ def _header_line(header) -> str:
     return line.getvalue()[:-2] + "\n"
 
 
-def _lines(rows):
-    """The CSV line of each row of string cells."""
-    return (",".join(row) + "\n" for row in rows)
-
-
 def _write_rows(fh, rows) -> None:
-    fh.writelines(_lines(rows))
+    fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_csv(path, header, rows) -> None:

@@ -989,31 +989,29 @@ def test_terminated_run_exits_143_and_leaves_no_file_or_process(run_dir, command
     no_process_left()
 
 
-TERMINATED_IO = """
+TERMINATED_PARSE = """
 import os, signal, sys
 import refsel.cli, refsel.data
 os.sched_getaffinity = lambda pid: set(range(4))
-refsel.data.CSV_RANGE_BYTES, refsel.data.CSV_CHUNK_CELLS = 1024, 13
-parent, hooked = os.getpid(), getattr(refsel.data, sys.argv[1])
+refsel.data.CSV_RANGE_BYTES = 1024
+parent, parse_range = os.getpid(), refsel.data._parse_range
 
 def terminated(*args):
     if os.getpid() == parent:
         os.kill(parent, signal.SIGTERM)
-    return hooked(*args)
+    return parse_range(*args)
 
-setattr(refsel.data, sys.argv[1], terminated)
-sys.exit(refsel.cli.main(sys.argv[2:]))
+refsel.data._parse_range = terminated
+sys.exit(refsel.cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("hook", ["_parse_into", "_labelled_rows"], ids=["parse", "write"])
-def test_terminated_csv_parse_or_write_leaves_no_file_or_process(run_dir, hook):
-    # SIGTERM in this process's own range of data.csv, or its own chunk of
-    # cds.csv's rows, while children parse or format the others.
+def test_terminated_csv_parse_leaves_no_file_or_process(run_dir):
+    # SIGTERM in this process's own range of data.csv while children parse the others.
     cfg_path, out_dir = run_dir
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", TERMINATED_IO, hook, "select", "--config", str(cfg_path)],
+        [sys.executable, "-c", TERMINATED_PARSE, "select", "--config", str(cfg_path)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert run.returncode == 143, run.stderr
     assert "Traceback" not in run.stderr

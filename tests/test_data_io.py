@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -40,10 +41,9 @@ def write(tmp_path, name, text):
 
 
 def cut_fine(monkeypatch, cpus):
-    """Report ``cpus`` CPUs; cut CSV bodies into few-byte ranges and rows into 1-row chunks."""
+    """Report ``cpus`` CPUs and cut CSV bodies into few-byte ranges."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(data_module, "CSV_RANGE_BYTES", 4)
-    monkeypatch.setattr(data_module, "CSV_CHUNK_CELLS", 1)
 
 
 def no_process_left():
@@ -300,8 +300,8 @@ def csv_path(tmp_path_factory):
 @example(("", 0, None))
 def test_load_csv_matches_per_cell_reference(csv_path, document):
     # Each document is also loaded at 1 and 4 reported CPUs with ranges a few
-    # bytes long: at 4, a fault may lie in any range, and a quote sends the
-    # rest of the body to one pass.
+    # bytes long: at 4, a fault may lie in any range, and a fault or a quote
+    # in any range sends the whole file to one pass.
     text, label, minority = document
     csv_path.write_text(text, encoding="utf-8", newline="")
     try:
@@ -350,6 +350,16 @@ LATER_FAULTS = {
                    "line 42: non-finite value inf in column 'f2'"),
     "invalid_utf8": (invalid_utf8_at_line_1500(), b"\xff", 2,
                      "line 1500: not UTF-8: invalid start byte"),
+    # np.loadtxt takes its field count from a range's first record.
+    "every_row_long": ("f1,f2,target\n" + "5,6,b,7\n" * 40, b"5,6,b,7", 3,
+                       "line 2: expected 3 fields, found 4"),
+    # np.loadtxt skips a blank line; one pass reads it as a record of no fields.
+    "blank_line": ("f1,f2,target\n" + good_rows(40) + "\n5,6,a\n", b"\n\n", 3,
+                   "line 42: expected 3 fields, found 0"),
+    # An unquoted cell that float accepts, but longer than the csv module's field size limit.
+    "long_field": ("f1,f2,target\n" + "5,6,a\n" * 60000 + "0." + "0" * 140000 + "1,2,b\n"
+                   + "5,6,a\n" * 5000, b"0.000", 2,
+                   "line 60002: field larger than field limit (131072)"),
     # A stray quote runs its field past the csv module's field size limit.
     "unclosed_quote": ("f1,f2,target\n" + "5,6,a\n" * 20000 + '"3,4,b\n' + "5,6,a\n" * 30000,
                        b'"', 1, "line 41847: field larger than field limit (131072)"),
@@ -390,16 +400,39 @@ def test_load_csv_reads_a_quoted_label_with_a_newline_across_a_cut(tmp_path, mon
     no_process_left()
 
 
+def test_load_csv_parses_a_regular_body_only_in_ranges(tmp_path, monkeypatch):
+    text = "f1,f2,target\n" + good_rows(40).replace(",a\n", ", a \n")
+    expected = reference_load_csv(write(tmp_path, "d.csv", text), "target")
+    path = write(tmp_path, "bom.csv", "\ufeff" + text)  # load_csv drops a leading BOM
+    cut_fine(monkeypatch, 4)
+    monkeypatch.setattr(data_module, "_parse", None)  # one pass would raise TypeError
+    assert_loads_as(path, "target", None, expected)
+    no_process_left()
+
+
+def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, monkeypatch):
+    text = "f1,f2,target\n" + good_rows(40)
+    expected = reference_load_csv(write(tmp_path, "d.csv", text), "target")
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    cut_fine(monkeypatch, 4)
+    assert_loads_as(pipe, "target", None, expected)
+    writer.join(10)
+    no_process_left()
+
+
 def test_load_csv_interrupted_in_a_range_leaves_no_process(tmp_path, monkeypatch):
     path = write(tmp_path, "d.csv", "f1,f2,target\n" + good_rows(40))
-    parent, parse_into = os.getpid(), data_module._parse_into
+    parent, parse_range = os.getpid(), data_module._parse_range
 
-    def interrupted(*args, **kwargs):  # Ctrl-C in this process's range, the others in children
+    def interrupted(*args):  # Ctrl-C in this process's range, the others in children
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return parse_into(*args, **kwargs)
+        return parse_range(*args)
 
-    monkeypatch.setattr(data_module, "_parse_into", interrupted)
+    monkeypatch.setattr(data_module, "_parse_range", interrupted)
     cut_fine(monkeypatch, 4)
     with pytest.raises(KeyboardInterrupt):
         load_csv(path, label="target")
@@ -647,37 +680,12 @@ EDGE_VALUES = np.array([
     (["a", "b", "c", "d"], "label"),
     (None, "target"),
 ])
-def test_save_csv_matches_joined_reference(tmp_path, monkeypatch, names, label_name):
+def test_save_csv_matches_joined_reference(tmp_path, names, label_name):
     data = LabeledDataset(X=EDGE_VALUES, y=np.array([0, 1, 0, 0]), feature_names=names)
     path = tmp_path / "d.csv"
-    header = (names or [f"f{i}" for i in range(4)]) + [label_name]
-    expected = reference_matrix_csv(header, data.X, data.y).encode()
     save_csv(data, path, label_name=label_name)
-    assert path.read_bytes() == expected
-    for cpus in (1, 4):  # one row per chunk
-        cut_fine(monkeypatch, cpus)
-        save_csv(data, path, label_name=label_name)
-        assert path.read_bytes() == expected
-    no_process_left()
-
-
-def test_save_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatch):
-    data = LabeledDataset(X=np.tile(EDGE_VALUES, (3, 1)), y=np.tile([0, 1, 0, 0], 3))
-    parent, labelled_rows, calls = os.getpid(), data_module._labelled_rows, []
-
-    def interrupted(matrix, labels):  # Ctrl-C as this process formats its second chunk
-        if os.getpid() == parent:
-            calls.append(len(labels))
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-        return labelled_rows(matrix, labels)
-
-    monkeypatch.setattr(data_module, "_labelled_rows", interrupted)
-    cut_fine(monkeypatch, 4)
-    with pytest.raises(KeyboardInterrupt):
-        save_csv(data, tmp_path / "d.csv")
-    assert list(tmp_path.iterdir()) == []
-    no_process_left()
+    header = (names or [f"f{i}" for i in range(4)]) + [label_name]
+    assert path.read_bytes() == reference_matrix_csv(header, data.X, data.y).encode()
 
 
 @pytest.mark.parametrize("names", [None, ["w", "x", "y", "z"]])

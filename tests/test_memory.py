@@ -4,6 +4,7 @@ numpy reports its buffers to ``tracemalloc``, so the traced peak of a call
 counts every array it allocates and is the same on every run.
 """
 
+import gc
 import struct
 import tracemalloc
 
@@ -23,6 +24,9 @@ def traced_peak(fn):
     if not tracing:
         tracemalloc.start()
     try:
+        # Garbage left by earlier code, freed by a collection while fn runs,
+        # would lower fn's peak by a varying amount.
+        gc.collect()
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         result = fn()
@@ -47,8 +51,8 @@ def test_save_csv_peak_is_well_below_its_text(tmp_path):
     y = (np.arange(4000) % 4 == 0).astype(np.int64)
     data = LabeledDataset(X=rng.uniform(size=(4000, 200)), y=y)
     _, peak = traced_peak(lambda: save_csv(data, tmp_path / "d.csv"))
-    # Rows are formatted and written a chunk at a time; building the whole
-    # text would hold all of its 15 MB at once.
+    # Rows are written a line at a time; building the whole text would hold
+    # all of its 15 MB at once.
     assert peak < (tmp_path / "d.csv").stat().st_size / 4
 
 
