@@ -6,11 +6,11 @@ reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numeric failure, 143 on SIGTERM, which unwinds a run
 like Ctrl-C: its worker processes are killed and its temp files removed.
 
-Training and evaluation use every CPU of the process's affinity mask
-(``taskset`` restricts it): the stacks of components, and the chunks of
-trials, run in rounds of one per CPU through ``workers.ordered_map``, the
-first of each round in this process and the others in forked children.
-The bytes of every output do not depend on the CPU count.
+Training, evaluation and CSV input and output use every CPU of the affinity
+mask (``taskset`` restricts it): stacks of components, chunks of trials and
+a CSV's byte ranges or row blocks run in rounds of one per CPU through
+``workers.ordered_map``, the first in this process, the others in forked
+children. The bytes of every output do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -159,13 +159,10 @@ def _no_label_feature(data: LabeledDataset, filename: str):
         raise DataError(f"a feature column is named 'label', like the label column of {filename}")
 
 
-def _q_blocks(fsds: LabeledDataset, cfg: RunConfig):
-    """Q as one block per stack of components, the stacks trained on every CPU in rounds.
-
-    A generator (``ordered_map``): close it, and every worker process is killed.
-    """
+def _stack_blocks(fsds: LabeledDataset, cfg: RunConfig):
+    """(block_of, stacks): ``block_of(stack)`` trains a stack of components into Q's block."""
     ecfg = cfg.ensemble_config()
-    return ordered_map(lambda stack: run_ensemble(fsds, ecfg, components=stack), stacks(ecfg))
+    return (lambda stack: run_ensemble(fsds, ecfg, components=stack)), stacks(ecfg)
 
 
 def _write_manifest(cfg: RunConfig, command: str, extra=None):
@@ -191,7 +188,7 @@ def _cmd_select(args) -> int:
     fsds, cds = _selection_data(cfg)
     if cds is not None:
         _no_label_feature(cds, "cds.csv")
-    with closing(_q_blocks(fsds, cfg)) as blocks:
+    with closing(ordered_map(*_stack_blocks(fsds, cfg))) as blocks:
         results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     out = Path(cfg.output_dir)
     names = [_selection_filename(result.delta_quantile) for result in results]
@@ -240,7 +237,7 @@ def _cmd_benchmark(args) -> int:
     if cfg.split is None:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds = _selection_data(cfg)
-    with closing(_q_blocks(fsds, cfg)) as blocks:
+    with closing(ordered_map(*_stack_blocks(fsds, cfg))) as blocks:
         results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     pairs = [(r.delta_quantile, r.selected) for r in results]
     # Chi-squared needs non-negative features: rank on the FSDS mapped into
@@ -270,8 +267,8 @@ def _cmd_export_q(args) -> int:
     fsds, _ = _selection_data(cfg)
     _no_label_feature(fsds, "q_matrix.csv")
     out = Path(cfg.output_dir)
-    with closing(_q_blocks(fsds, cfg)) as blocks:
-        export_q_csv(blocks, out / "q_matrix.csv", fsds.feature_names)
+    block_of, items = _stack_blocks(fsds, cfg)
+    export_q_csv(block_of, out / "q_matrix.csv", fsds.feature_names, items)
     rows, n_features = q_shape(fsds, cfg.n_components)
     _write_manifest(cfg, "export-q", extra={"q_shape": [rows, n_features]})
     logger.info("wrote %dx%d error matrix to %s", rows, n_features + 1, out)

@@ -5,9 +5,9 @@ IDX image/label pairs (big-endian magic 0x00000803 / 0x00000801, unsigned
 bytes). Every write streams through ``open_atomic``, a temp-file-then-rename,
 so partial files never appear under the final name.
 
-A large CSV is read on every CPU of the affinity mask: ``load_csv`` parses
-byte ranges of its body, cut at line ends, through ``workers.ordered_map``.
-Neither the data nor a fault's message depends on the number of CPUs.
+A large CSV is read and written on every CPU of the affinity mask through
+``workers.ordered_map``, in byte ranges of its body or blocks of its rows.
+Neither the data, a file's bytes nor a fault's message depends on the CPUs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .ensemble import SelectionResult
 from .evaluate import EvalReport
 from .exceptions import DataError, FormatError, ParameterError, ParseError
 from .sampling import LabeledDataset, stratified_rows
-from .workers import kill, ordered_map, receive, spawn
+from .workers import ordered_map
 
 SCALING_MODES = ("unit_interval", "symmetric_unit")
 
@@ -41,6 +41,10 @@ SCALING_MODES = ("unit_interval", "symmetric_unit")
 # range holds at least this many bytes: a fork and its answer cost about as
 # much as parsing 0.2 MB of float cells.
 CSV_RANGE_BYTES = 512 * 1024
+
+# save_csv cuts a block of rows for each CPU only if each holds at least this
+# many cells: a fork and its answer cost about as much as formatting 7k cells.
+CSV_BLOCK_CELLS = 16 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +283,15 @@ def _records(reader):
 
 
 def save_csv(dataset: LabeledDataset, path, label_name: str = "label") -> None:
-    """Write a LabeledDataset as CSV; floats keep full round-trip precision."""
-    names = dataset.feature_names or [f"f{i}" for i in range(dataset.n_features)]
-    write_csv(path, [*names, label_name], _labelled_rows(dataset.X, dataset.y))
+    """Write a LabeledDataset as CSV; floats keep full round-trip precision.
+
+    Each block of rows, up to one per CPU, is formatted apart (see _write_labelled).
+    """
+    X, y = dataset.X, dataset.y
+    n = max(1, min(len(os.sched_getaffinity(0)), X.size // CSV_BLOCK_CELLS, len(X)))
+    _write_labelled(path, dataset.feature_names, label_name,
+                    lambda parts, rows: _write_part(parts, X[rows], y[rows]),
+                    [slice(len(X) * i // n, len(X) * (i + 1) // n) for i in range(n)])
 
 
 def _labelled_rows(matrix, labels):
@@ -461,6 +471,8 @@ def open_atomic(path):
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.umask(umask := os.umask(0o077))  # the umask is read by setting it
+            os.fchmod(fd, 0o666 & ~umask)  # as a plain open would; mkstemp made it 0600
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -477,15 +489,11 @@ def _header_line(header) -> str:
     return line.getvalue()[:-2] + "\n"
 
 
-def _write_rows(fh, rows) -> None:
-    fh.writelines(",".join(row) + "\n" for row in rows)
-
-
 def write_csv(path, header, rows) -> None:
     """Stream a header, quoted where names need it, and rows of string cells to ``path``."""
     with open_atomic(path) as fh:
         fh.write(_header_line(header))
-        _write_rows(fh, rows)
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def save_json(obj, path) -> None:
@@ -574,53 +582,48 @@ def report_to_dict(report: EvalReport) -> dict:
             "summaries": [plain(s) for s in report.summaries]}
 
 
-def export_q_csv(blocks, path, feature_names=None) -> None:
-    """Write Q's REMatrix blocks with a label column, each block's lines formatted in a child.
+def export_q_csv(block_of, path, feature_names, items) -> None:
+    """Write Q with a label column: the REMatrix block ``block_of(item)`` for each of ``items``.
 
-    Each block is handed to a child forked (``workers.spawn``) as soon as it
-    is drawn, and let go in the parent, which draws the next while the child
-    writes the block's lines to a part file beside ``path`` and answers with
-    its name. At most one child per CPU of the affinity mask runs at a time;
-    the parts are appended in block order. On any failure the children are
-    killed and reaped and the parts removed.
+    A block is formatted by the process that made it (see _write_labelled),
+    and let go before that process makes another.
     """
-    blocks = iter(blocks)
-    block = next(blocks, None)
-    if block is None:
-        raise DataError("Q has no rows")
-    names = feature_names or [f"f{i}" for i in range(block.Q.shape[1])]
-    if len(names) != block.Q.shape[1]:
-        raise DataError("feature_names length must match Q columns")
+    def write_block(parts, item):
+        block = block_of(item)
+        return _write_part(parts, block.Q, block.labels)
+
+    _write_labelled(path, feature_names, "label", write_block, items)
+
+
+def _write_labelled(path, names, label_name, write_part, items) -> None:
+    """Write a float matrix with a label column to ``path``, one part file per item, in order.
+
+    ``write_part(parts, item)`` runs through ``workers.ordered_map`` and answers as
+    _write_part does; each part is appended after the header, then deleted. No item,
+    or a width other than that of ``names`` (default f0, f1, ...), raises DataError.
+    On any failure the workers are killed, and the parts and the temp file removed.
+    """
     path = Path(path)
-    slots = len(os.sched_getaffinity(0))
-    children = []  # (pid, pipe) of each formatting child, in block order
     with open_atomic(path) as fh, tempfile.TemporaryDirectory(
             dir=path.parent, prefix=f".{path.name}.", suffix=".parts") as parts:
-        fh.write(_header_line([*names, "label"]))
-        try:
-            while block is not None:
-                if len(children) == slots:
-                    _append_part(fh, receive(children))
-                spawn(functools.partial(_write_part, parts), block, children)
-                del block  # the child has it in its own memory; the parent draws the next
-                block = next(blocks, None)
-            while children:
-                _append_part(fh, receive(children))
-        finally:
-            kill(children)
+        with closing(ordered_map(functools.partial(write_part, parts), items)) as written:
+            for part, width in written:
+                if not fh.tell():  # the first part
+                    names = names or [f"f{i}" for i in range(width)]
+                    if len(names) != width:
+                        raise DataError("feature_names length must match Q columns")
+                    fh.write(_header_line([*names, label_name]))
+                fh.flush()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+                os.unlink(part)
+        if not fh.tell():
+            raise DataError("Q has no rows")
 
 
-def _write_part(parts, block) -> str:
-    """In a child: write ``block``'s CSV lines to a new file in ``parts``; its path."""
+def _write_part(parts, matrix, labels):
+    """(path, column count) of a new file in ``parts`` holding the CSV lines of ``matrix``."""
     fd, part = tempfile.mkstemp(dir=parts)
     with open(fd, "w", encoding="utf-8") as out:
-        _write_rows(out, _labelled_rows(block.Q, block.labels))
-    return part
-
-
-def _append_part(fh, part) -> None:
-    """Append the file ``part`` to ``fh`` and delete it."""
-    fh.flush()
-    with open(part, "rb") as src:
-        shutil.copyfileobj(src, fh.buffer)
-    os.unlink(part)
+        out.writelines(",".join(row) + "\n" for row in _labelled_rows(matrix, labels))
+    return part, matrix.shape[1]

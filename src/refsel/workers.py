@@ -1,12 +1,12 @@
 """Independent pieces of work on every CPU: forked children and an ordered map.
 
-A child is forked for one item by ``spawn``: it inherits the item, and
+A child is forked for one item by ``_spawn``: it inherits the item, and
 everything else, by fork, and answers through its own pipe with one
 protocol-5 pickle of its log records and its result or exception. A
-writable array goes in-band as one raw buffer, which ``receive`` reads
-straight into the array it ends up in. ``kill`` ends every child still
-running. ``ordered_map`` and ``export_q_csv`` are built on these three.
-POSIX only.
+writable array goes in-band as one raw buffer, which ``_receive`` reads
+straight into the array it ends up in. ``_kill`` ends every child still
+running. ``ordered_map`` is built on these three, and is the only way the
+program forks. POSIX only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pickle
 import signal
 
 
-def spawn(fn, item, children) -> None:
+def _spawn(fn, item, children) -> None:
     """Fork a child that runs ``fn(item)`` and answers; append its (pid, pipe) to ``children``.
 
     The child closes its copy of the pipe's read end, so once this process
@@ -69,7 +69,7 @@ def _detached(record):
     return record
 
 
-def receive(children):
+def _receive(children):
     """The first child's result: its records handled here, the child reaped, its exception raised.
 
     A child that dies without sending its whole answer raises OSError.
@@ -91,7 +91,7 @@ def receive(children):
     return value
 
 
-def kill(children) -> None:
+def _kill(children) -> None:
     """SIGKILL and reap every child in ``children``, close their pipes, and empty it."""
     for pid, _ in children:
         with contextlib.suppress(ProcessLookupError):  # reaped by an interrupted caller
@@ -121,9 +121,9 @@ def ordered_map(fn, items):
     try:
         while batch := list(itertools.islice(items, workers)):
             for item in batch[1:]:
-                spawn(fn, item, children)
+                _spawn(fn, item, children)
             yield fn(batch[0])
             while children:
-                yield receive(children)
+                yield _receive(children)
     finally:
-        kill(children)
+        _kill(children)

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -867,18 +868,27 @@ def no_space(matrix, labels):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+TEST_PROCESS, LABELLED_ROWS = os.getpid(), refsel.data._labelled_rows
+
+
 def killed(matrix, labels):
-    os.kill(os.getpid(), signal.SIGKILL)
+    """SIGKILL in a worker process; in this one, which it would end, format the rows."""
+    if os.getpid() != TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return LABELLED_ROWS(matrix, labels)
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
-@pytest.mark.parametrize("fault, message", [
-    (no_space, "error: [Errno 28] No space left on device"),
-    (killed, "error: a worker process exited with status -9"),
-], ids=["no_space", "killed"])
+NO_SPACE = "error: [Errno 28] No space left on device"
+KILLED = "error: a worker process exited with status -9"
+
+
+@pytest.mark.parametrize("fault, message, cpus", [
+    (no_space, NO_SPACE, 1), (no_space, NO_SPACE, 4), (killed, KILLED, 2), (killed, KILLED, 4),
+], ids=["no_space-1", "no_space-4", "killed-2", "killed-4"])
 def test_failed_formatting_child_leaves_no_file_or_process(
         run_dir, monkeypatch, capsys, cpus, fault, message):
-    # Each child formats one block; it inherits the patched row formatter.
+    # Each block is formatted by the process that trained it: this one, or a
+    # worker, which inherits the patched row formatter.
     cfg_path, out_dir = run_dir
     monkeypatch.setattr(refsel.data, "_labelled_rows", fault)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -889,6 +899,35 @@ def test_failed_formatting_child_leaves_no_file_or_process(
     assert list(out_dir.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_export_q_forks_only_to_train(run_dir, monkeypatch):
+    # Six stacks on four CPUs: three workers in the first round, one in the
+    # second; each block is formatted where it was trained, not in a child of its own.
+    cfg_path, _ = run_dir
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert main(["export-q", "--config", str(cfg_path), "--components", "6",
+                 "--parallelism", "1"]) == 0
+    assert len(forks) == 4
+    no_process_left()
+
+
+@pytest.mark.parametrize("fault, message", [(no_space, NO_SPACE), (killed, KILLED)],
+                         ids=["no_space", "killed"])
+def test_failed_cds_part_leaves_no_file_or_process(run_dir, monkeypatch, capsys, fault, message):
+    # cds.csv's rows are cut into four blocks, formatted by this process and three workers.
+    cfg_path, out_dir = run_dir
+    monkeypatch.setattr(refsel.data, "_labelled_rows", fault)
+    monkeypatch.setattr(refsel.data, "CSV_BLOCK_CELLS", 13)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    left = [p.name for p in out_dir.iterdir()]
+    assert "cds.csv" not in left and not [name for name in left if name.startswith(".")]
+    no_process_left()
 
 
 def no_process_left():
@@ -989,29 +1028,38 @@ def test_terminated_run_exits_143_and_leaves_no_file_or_process(run_dir, command
     no_process_left()
 
 
-TERMINATED_PARSE = """
+TERMINATED_IO = """
 import os, signal, sys
 import refsel.cli, refsel.data
 os.sched_getaffinity = lambda pid: set(range(4))
-refsel.data.CSV_RANGE_BYTES = 1024
-parent, parse_range = os.getpid(), refsel.data._parse_range
+refsel.data.CSV_RANGE_BYTES, refsel.data.CSV_BLOCK_CELLS = 1024, 13
+parent, hooked = os.getpid(), getattr(refsel.data, sys.argv[1])
 
 def terminated(*args):
     if os.getpid() == parent:
         os.kill(parent, signal.SIGTERM)
-    return parse_range(*args)
+    return hooked(*args)
 
-refsel.data._parse_range = terminated
-sys.exit(refsel.cli.main(sys.argv[1:]))
+setattr(refsel.data, sys.argv[1], terminated)
+sys.exit(refsel.cli.main(sys.argv[2:]))
 """
 
 
 def test_terminated_csv_parse_leaves_no_file_or_process(run_dir):
     # SIGTERM in this process's own range of data.csv while children parse the others.
+    terminated_select_leaves_no_cds_or_process(run_dir, "_parse_range")
+
+
+def test_terminated_csv_write_leaves_no_file_or_process(run_dir):
+    # SIGTERM as this process formats its own block of cds.csv, children the others.
+    terminated_select_leaves_no_cds_or_process(run_dir, "_labelled_rows")
+
+
+def terminated_select_leaves_no_cds_or_process(run_dir, hook):
     cfg_path, out_dir = run_dir
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", TERMINATED_PARSE, "select", "--config", str(cfg_path)],
+        [sys.executable, "-c", TERMINATED_IO, hook, "select", "--config", str(cfg_path)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert run.returncode == 143, run.stderr
     assert "Traceback" not in run.stderr
@@ -1019,6 +1067,18 @@ def test_terminated_csv_parse_leaves_no_file_or_process(run_dir):
     assert "cds.csv" not in left and not [name for name in left if name.startswith(".")]
     assert subprocess.run(["pgrep", "-f", str(cfg_path)]).returncode == 1  # no process matched
     no_process_left()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_their_mode_from_the_umask(run_dir, umask, mode):
+    cfg_path, out_dir = run_dir
+    previous = os.umask(umask)
+    try:
+        assert main(["select", "--config", str(cfg_path)]) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out_dir.iterdir()}
+    assert "cds.csv" in modes and set(modes.values()) == {mode}, modes
 
 
 def test_main_restores_the_sigterm_handler(run_dir):

@@ -41,9 +41,10 @@ def write(tmp_path, name, text):
 
 
 def cut_fine(monkeypatch, cpus):
-    """Report ``cpus`` CPUs and cut CSV bodies into few-byte ranges."""
+    """Report ``cpus`` CPUs; cut CSV bodies into few-byte ranges, saved rows into small blocks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(data_module, "CSV_RANGE_BYTES", 4)
+    monkeypatch.setattr(data_module, "CSV_BLOCK_CELLS", 1)
 
 
 def no_process_left():
@@ -650,11 +651,16 @@ def test_selection_file_round_trip(tmp_path):
 def test_export_q_matrix_layout(tmp_path):
     q = REMatrix(Q=np.array([[0.25, 0.5], [0.1, 0.2]]), labels=np.array([1, 0]))
     path = tmp_path / "q.csv"
-    export_q_csv([q], path, feature_names=["a", "b"])
+    export_q_csv(identity, path, ["a", "b"], [q])
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b,label"
     assert lines[1] == "0.25,0.5,1"
     assert len(lines) == 3
+
+
+def identity(block):
+    """Each item is its own block of Q."""
+    return block
 
 
 def reference_matrix_csv(names, matrix, labels):
@@ -680,12 +686,36 @@ EDGE_VALUES = np.array([
     (["a", "b", "c", "d"], "label"),
     (None, "target"),
 ])
-def test_save_csv_matches_joined_reference(tmp_path, names, label_name):
+def test_save_csv_matches_joined_reference(tmp_path, monkeypatch, names, label_name):
     data = LabeledDataset(X=EDGE_VALUES, y=np.array([0, 1, 0, 0]), feature_names=names)
     path = tmp_path / "d.csv"
-    save_csv(data, path, label_name=label_name)
     header = (names or [f"f{i}" for i in range(4)]) + [label_name]
-    assert path.read_bytes() == reference_matrix_csv(header, data.X, data.y).encode()
+    expected = reference_matrix_csv(header, data.X, data.y).encode()
+    save_csv(data, path, label_name=label_name)
+    assert path.read_bytes() == expected
+    for cpus in (1, 4):  # at 4 CPUs, one row per block
+        cut_fine(monkeypatch, cpus)
+        save_csv(data, path, label_name=label_name)
+        assert path.read_bytes() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    no_process_left()
+
+
+def test_save_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatch):
+    data = LabeledDataset(X=np.tile(EDGE_VALUES, (3, 1)), y=np.tile([0, 1, 0, 0], 3))
+    parent, labelled_rows = os.getpid(), data_module._labelled_rows
+
+    def interrupted(matrix, labels):  # Ctrl-C as this process formats its block, children theirs
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return labelled_rows(matrix, labels)
+
+    monkeypatch.setattr(data_module, "_labelled_rows", interrupted)
+    cut_fine(monkeypatch, 4)
+    with pytest.raises(KeyboardInterrupt):
+        save_csv(data, tmp_path / "d.csv")
+    assert list(tmp_path.iterdir()) == []
+    no_process_left()
 
 
 @pytest.mark.parametrize("names", [None, ["w", "x", "y", "z"]])
@@ -693,17 +723,20 @@ def test_export_q_csv_matches_joined_reference(tmp_path, names):
     q = REMatrix(Q=np.abs(EDGE_VALUES), labels=np.array([1, 0, 1, 0]))
     q.Q[0, 0] = -0.0  # REMatrix keeps signed zero; repr writes it as -0.0
     path = tmp_path / "q.csv"
-    export_q_csv([q], path, feature_names=names)
+    export_q_csv(identity, path, names, [q])
     header = (names or [f"f{i}" for i in range(4)]) + ["label"]
     assert path.read_bytes() == reference_matrix_csv(header, q.Q, q.labels).encode()
     assert path.read_text().splitlines()[1].startswith("-0.0,5e-324,1e+308,0.1,")
 
 
-def test_export_q_csv_rejects_wrong_name_count(tmp_path):
+def test_export_q_csv_rejects_wrong_name_count(tmp_path, monkeypatch):
     q = REMatrix(Q=np.array([[0.25, 0.5], [0.1, 0.2]]), labels=np.array([1, 0]))
-    with pytest.raises(DataError, match="feature_names length"):
-        export_q_csv([q], tmp_path / "q.csv", feature_names=["a"])
-    assert list(tmp_path.iterdir()) == []
+    for cpus in (1, 4):  # at 4, the first block fails while workers hold the next three
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(DataError, match="feature_names length") as info:
+            export_q_csv(identity, tmp_path / "q.csv", ["a"], [q] * 4)
+        assert list(tmp_path.iterdir()) == []
+        no_process_left()  # even while the traceback, and the writer's frame, live on
 
 
 @pytest.mark.parametrize("names, line", [
@@ -779,13 +812,13 @@ def test_load_selection_missing_key_and_optional_vectors(tmp_path):
 
 
 def test_export_q_csv_interrupted_leaves_no_file_or_process(tmp_path, monkeypatch):
-    def blocks():  # Ctrl-C while the fourth block trains
-        for _ in range(3):
-            yield REMatrix(Q=np.full((40, 3), 0.5), labels=np.repeat([1, 0], 20))
-        raise KeyboardInterrupt
+    def block_of(i):  # Ctrl-C while this process makes the fifth block, a child the sixth
+        if i == 4:
+            raise KeyboardInterrupt
+        return REMatrix(Q=np.full((40, 3), 0.5), labels=np.repeat([1, 0], 20))
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     with pytest.raises(KeyboardInterrupt):
-        export_q_csv(blocks(), tmp_path / "q.csv")
+        export_q_csv(block_of, tmp_path / "q.csv", None, range(6))
     assert list(tmp_path.iterdir()) == []
     no_process_left()

@@ -211,7 +211,7 @@ def test_class_median_mode():
     lambda q, path: class_mean_re(q),
     lambda q, path: class_mean_re(q, estimator="median"),
     lambda q, path: select_at_thresholds(q, [0.5]),
-    lambda q, path: export_q_csv(q, path),
+    lambda q, path: export_q_csv(lambda block: block, path, None, q),
 ], ids=["class_mean_re", "class_median_re", "select_at_thresholds", "export_q_csv"])
 def test_empty_q_is_a_data_error(tmp_path, consume):
     with warnings.catch_warnings(), pytest.raises(DataError, match="Q has no rows"):

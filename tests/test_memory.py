@@ -137,18 +137,16 @@ def test_streamed_peak_does_not_grow_with_components(tmp_path, command):
     assert peaks[16] - peaks[4] < block
 
 
-def fresh_blocks(n_blocks, rows=1000, n_features=20):
-    """Blocks of Q made as they are drawn, as a streamed run trains them."""
-    for _ in range(n_blocks):
-        yield REMatrix(Q=np.ones((rows, n_features)), labels=np.repeat([1, 0], rows // 2))
+def fresh_block(_, rows=1000, n_features=20):
+    """A block of Q made as it is drawn, as a streamed run trains it."""
+    return REMatrix(Q=np.ones((rows, n_features)), labels=np.repeat([1, 0], rows // 2))
 
 
 @pytest.mark.parametrize("consume", [
-    lambda blocks, path: class_mean_re(blocks),
-    lambda blocks, path: export_q_csv(blocks, path),
+    lambda n_blocks, path: class_mean_re(map(fresh_block, range(n_blocks))),
+    lambda n_blocks, path: export_q_csv(fresh_block, path, None, range(n_blocks)),
 ], ids=["class_mean_re", "export_q_csv"])
 def test_consumers_let_each_block_go_before_drawing_the_next(tmp_path, consume):
-    peaks = {n: traced_peak(lambda: consume(fresh_blocks(n), tmp_path / "q.csv"))[1]
-             for n in (1, 4)}
+    peaks = {n: traced_peak(lambda: consume(n, tmp_path / "q.csv"))[1] for n in (1, 4)}
     # A block still held while the next is drawn would add a whole block (160 kB).
     assert peaks[4] - peaks[1] < 1000 * 20 * 8 // 4
