@@ -5,6 +5,7 @@ commands that train also list the component seeds. Any output can thus be
 reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numeric failure, 143 on SIGTERM, which unwinds a run
 like Ctrl-C: its worker processes are killed and its temp files removed.
+Each override flag stores into the RunConfig field whose key it replaces.
 
 Training, evaluation and CSV input and output use every CPU of the affinity
 mask (``taskset`` restricts it): stacks of components, chunks of trials and
@@ -66,26 +67,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--output", help="override the output directory")
-        p.add_argument("--components", type=int, help="override the component count")
-        p.add_argument("--seed", type=int, help="override the master seed")
+        p.add_argument("--output", dest="output_dir", help="override the output directory")
+        p.add_argument("--components", dest="n_components", type=int,
+                       help="override the component count")
+        p.add_argument("--seed", dest="master_seed", type=int, help="override the master seed")
         p.add_argument(
             "--parallelism", type=int,
             help="components trained together as one stacked model; "
                  "outputs are byte-identical for every value",
         )
 
+    def add_delta(p):
+        p.add_argument("--delta", dest="delta_quantiles", action="append", type=float,
+                       help="quantile level; repeat for several (overrides the config grid)")
+
     p_select = sub.add_parser("select", help="run the full selection pipeline")
     add_common(p_select)
-    p_select.add_argument(
-        "--delta", dest="deltas", action="append", type=float,
-        help="quantile level; repeat for several (overrides the config grid)",
-    )
+    add_delta(p_select)
     p_select.set_defaults(func=_cmd_select)
 
     p_eval = sub.add_parser("evaluate", help="score selection files on the held-out dataset")
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--output", help="override the output directory")
+    p_eval.add_argument("--output", dest="output_dir", help="override the output directory")
     p_eval.add_argument(
         "--selections", help="directory holding selection_delta_*.json (default: output dir)"
     )
@@ -96,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmark", help="compare against the chi-squared filter at matched subset sizes"
     )
     add_common(p_bench)
-    p_bench.add_argument("--delta", dest="deltas", action="append", type=float)
+    add_delta(p_bench)
     p_bench.set_defaults(func=_cmd_benchmark)
 
     p_export = sub.add_parser("export-q", help="write the stacked error matrix with labels")
@@ -107,19 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args) -> RunConfig:
-    """The config file under the flags that override it, checked once."""
-    updates = {}
-    if getattr(args, "deltas", None):
-        updates["delta_quantiles"] = tuple(args.deltas)
-    if getattr(args, "components", None) is not None:
-        updates["n_components"] = args.components
-    if getattr(args, "seed", None) is not None:
-        updates["master_seed"] = args.seed
-    if getattr(args, "parallelism", None) is not None:
-        updates["parallelism"] = args.parallelism
-    if getattr(args, "output", None):
-        updates["output_dir"] = args.output
-    return load_run_config(args.config, updates)
+    """The config file under the flags given, checked once; an empty ``--output`` is ignored."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return load_run_config(args.config, {
+        name: tuple(value) if isinstance(value, list) else value  # repeated --delta
+        for name, value in vars(args).items() if name in fields and value not in (None, "")
+    })
 
 
 def _load_dataset(cfg: RunConfig) -> LabeledDataset:

@@ -2,9 +2,11 @@
 
 Precedence is command-line flags over file values over built-in defaults.
 The file uses flat key=value pairs grouped in sections: [data], optional
-[split], [ensemble], [training], [selection], [eval], [output]. Each
-RunConfig field declares its own ``[section] key``, parser and default.
-Values are interpolated, so a literal ``%`` is written ``%%``.
+[split], [ensemble], [training], [selection], [eval], [output]. Each setting
+is declared once, as a RunConfig field naming its ``[section] key``, parser,
+default and the ``(class, parameter)`` it feeds. An unknown section is
+rejected; an unknown key is logged and ignored. Values are interpolated, so
+a literal ``%`` is written ``%%``.
 """
 
 from __future__ import annotations
@@ -12,29 +14,40 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
+import logging
 import sys
+import typing
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .data import SCALING_MODES, DatasetSplitSpec
-from .ensemble import EnsembleConfig
+from .ensemble import ESTIMATORS, EnsembleConfig
 from .evaluate import EvalProtocol
 from .exceptions import ParameterError, UsageError
 from .nn import DsaeConfig, TrainingConfig, layers_from_widths
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_DELTAS = (0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97, 0.99)
 
-# (key, DatasetSplitSpec field, parser); the defaults are the spec's own.
-_SPLIT_KEYS = (
-    ("fsds_fraction", "fsds_fraction", float),
-    ("seed", "split_seed", int),
-    ("minority_subsample", "minority_subsample", int),
-)
+
+def _key(section, key, cast=str, default=MISSING, feeds=None, param=None):
+    """A field read from ``[section] key`` by ``cast``; it feeds parameter ``param`` (or ``key``)
+    of class ``feeds`` and takes its default unless given one. With no default the key is required.
+    """
+    feeds = (feeds, param or key)
+    if feeds[0] and default is MISSING:
+        default = getattr(*feeds)
+    return field(default=default, metadata={"ini": (section, key, cast), "feeds": feeds})
 
 
-def _key(section, key, cast=str, default=MISSING):
-    """A field read from ``[section] key`` by ``cast``; without a default the key is required."""
-    return field(default=default, metadata={"ini": (section, key, cast)})
+def _section(section, cls, default=None, **renamed):
+    """A field holding a ``cls`` built from ``[section]``, or ``default`` without that section;
+    each parameter is read from the key of its name, or of the name ``renamed`` gives it."""
+    hints = typing.get_type_hints(cls)
+    keys = [(renamed.get(p.name, p.name), p.name, hints[p.name], p.default)
+            for p in dataclasses.fields(cls)]
+    return field(default=default, metadata={"section": (section, cls, keys)})
 
 
 def _ini_name(name: str) -> str:
@@ -102,22 +115,22 @@ class RunConfig:
     majority_count: int = _key("data", "majority_count", int, None)
     minority_count: int = _key("data", "minority_count", int, None)
     scaling_mode: str = _key("data", "scaling", str.lower, "unit_interval")
-    split: DatasetSplitSpec = None  # [split], read through _SPLIT_KEYS
-    n_components: int = _key("ensemble", "components", int, 25)
-    master_seed: int = _key("ensemble", "master_seed", int, EnsembleConfig.master_seed)
-    parallelism: int = _key("ensemble", "parallelism", int, EnsembleConfig.parallelism)
+    split: DatasetSplitSpec = _section("split", DatasetSplitSpec, split_seed="seed")
+    n_components: int = _key("ensemble", "components", int, 25, EnsembleConfig, "n_components")
+    master_seed: int = _key("ensemble", "master_seed", int, feeds=EnsembleConfig)
+    parallelism: int = _key("ensemble", "parallelism", int, feeds=EnsembleConfig)
     encoder_widths: list = _key("ensemble", "encoder", _widths)
     encoder_activations: object = _key("ensemble", "encoder_activations", _names)
     decoder_widths: list = _key("ensemble", "decoder", _widths)
     decoder_activations: object = _key("ensemble", "decoder_activations", _names)
-    l1_penalty: float = _key("ensemble", "l1_penalty", float, DsaeConfig.l1_penalty)
-    training: TrainingConfig = field(default_factory=TrainingConfig)  # keys: its field names
+    l1_penalty: float = _key("ensemble", "l1_penalty", float, feeds=DsaeConfig)
+    training: TrainingConfig = _section("training", TrainingConfig, TrainingConfig())
     delta_quantiles: tuple = _key("selection", "deltas", _floats, DEFAULT_DELTAS)
     estimator: str = _key("selection", "estimator", str.lower, "mean")
-    eval_train_fraction: float = _key("eval", "train_fraction", float, EvalProtocol.train_fraction)
-    eval_seed: int = _key("eval", "seed", int, EvalProtocol.split_seed)
-    eval_classifiers: tuple = _key("eval", "classifiers", _strings, EvalProtocol.classifiers)
-    eval_trials: int = _key("eval", "trials", int, EvalProtocol.trials)
+    eval_train_fraction: float = _key("eval", "train_fraction", float, feeds=EvalProtocol)
+    eval_seed: int = _key("eval", "seed", int, feeds=EvalProtocol, param="split_seed")
+    eval_classifiers: tuple = _key("eval", "classifiers", _strings, feeds=EvalProtocol)
+    eval_trials: int = _key("eval", "trials", int, feeds=EvalProtocol)
     output_dir: str = _key("output", "directory")
 
     def validate(self):
@@ -146,8 +159,8 @@ class RunConfig:
         if len(set(self.delta_quantiles)) != len(self.delta_quantiles):
             raise UsageError(f"[selection] deltas: delta quantiles {list(self.delta_quantiles)} "
                              "name a level twice")
-        if self.estimator not in ("mean", "median"):
-            raise UsageError(f"[selection] estimator must be mean or median, "
+        if self.estimator not in ESTIMATORS:
+            raise UsageError(f"[selection] estimator must be {' or '.join(ESTIMATORS)}, "
                              f"got {self.estimator!r}")
         # Q holds at least two rows per component, one float64 per feature.
         if self.encoder_widths and 16 * self.n_components * self.encoder_widths[0] > sys.maxsize:
@@ -159,9 +172,10 @@ class RunConfig:
         self.protocol()
         return self
 
-    def _steps(self, params):
-        """_build steps for ``params``, {RunConfig field: class parameter}."""
-        return [(_ini_name(name), param, getattr(self, name)) for name, param in params.items()]
+    def _steps(self, cls):
+        """_build steps of the fields that feed ``cls``, in declaration order."""
+        return [(_ini_name(f.name), f.metadata["feeds"][1], getattr(self, f.name))
+                for f in dataclasses.fields(self) if f.metadata.get("feeds", (None,))[0] is cls]
 
     def dsae_config(self) -> DsaeConfig:
         encoder, decoder = (
@@ -169,20 +183,15 @@ class RunConfig:
                    getattr(self, f"{side}_widths"), getattr(self, f"{side}_activations"))
             for side in ("encoder", "decoder"))
         return _build(DsaeConfig, [("[ensemble] encoder, decoder", "decoder_layers", decoder),
-                                   *self._steps({"l1_penalty": "l1_penalty"})],
+                                   *self._steps(DsaeConfig)],
                       encoder_layers=encoder, seed=0)
 
     def ensemble_config(self) -> EnsembleConfig:
-        return _build(EnsembleConfig, self._steps({
-            "n_components": "n_components", "master_seed": "master_seed",
-            "parallelism": "parallelism",
-        }), dsae=self.dsae_config(), training=self.training)
+        return _build(EnsembleConfig, self._steps(EnsembleConfig),
+                      dsae=self.dsae_config(), training=self.training)
 
     def protocol(self) -> EvalProtocol:
-        return _build(EvalProtocol, self._steps({
-            "eval_train_fraction": "train_fraction", "eval_seed": "split_seed",
-            "eval_classifiers": "classifiers", "eval_trials": "trials",
-        }))
+        return _build(EvalProtocol, self._steps(EvalProtocol))
 
 
 def load_run_config(path, overrides=None) -> RunConfig:
@@ -204,8 +213,10 @@ def load_run_config(path, overrides=None) -> RunConfig:
     for section in ("data", "ensemble", "output"):
         if not parser.has_section(section):
             raise UsageError(f"missing config section [{section}]")
+    known = {}  # section: the keys read from it
 
     def read(section, key, cast, default):
+        known.setdefault(section, set()).add(key)
         try:
             raw = parser.get(section, key, fallback="").strip()
         except configparser.Error as exc:
@@ -220,19 +231,20 @@ def load_run_config(path, overrides=None) -> RunConfig:
         raise UsageError(f"config key [{section}] {key}: cannot parse {raw!r}")
 
     values = {}
-    if parser.has_section("split"):
-        values["split"] = _build(DatasetSplitSpec, [
-            (f"[split] {key}", name, read("split", key, cast, getattr(DatasetSplitSpec, name)))
-            for key, name, cast in _SPLIT_KEYS
-        ])
     for f in dataclasses.fields(RunConfig):
         if "ini" in f.metadata:
             values[f.name] = read(*f.metadata["ini"], f.default)
-        elif f.name == "training":
-            values["training"] = _build(TrainingConfig, [
-                (f"[training] {t.name}", t.name,
-                 read("training", t.name, type(t.default), t.default))
-                for t in dataclasses.fields(TrainingConfig)
+        elif parser.has_section(f.metadata["section"][0]):
+            section, cls, keys = f.metadata["section"]
+            values[f.name] = _build(cls, [
+                (f"[{section}] {key}", param, read(section, key, cast, default))
+                for key, param, cast, default in keys
             ])
+    for section in parser.sections():
+        if section not in known:
+            raise UsageError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in known[section] and key not in parser.defaults():
+                logger.warning("ignoring unknown config key [%s] %s", section, key)
     values.update(overrides or {})
     return RunConfig(**values).validate()

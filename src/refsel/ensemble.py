@@ -25,6 +25,8 @@ from .sampling import LabeledDataset, build_component_split, derive_seed
 
 logger = logging.getLogger(__name__)
 
+ESTIMATORS = ("mean", "median")  # per-feature class error estimators of class_mean_re
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -197,7 +199,7 @@ def class_mean_re(blocks, estimator: str = "mean"):
     ``blocks`` is Q as an iterable of REMatrix blocks. As ``np.mean`` sums row by row,
     each block's first row takes the running sum; one column it sums pairwise, so whole.
     """
-    if estimator not in ("mean", "median"):
+    if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}")
     sums, counts, kept = [np.float64(-0.0)] * 2, [0, 0], ([], [])  # -0.0 + x is x
     for block in blocks:

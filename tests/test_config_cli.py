@@ -1,6 +1,8 @@
 """Run config parsing and the four CLI commands on a small synthetic run."""
 
+import argparse
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -21,8 +23,8 @@ import refsel
 import refsel.data
 import refsel.ensemble
 from refsel import load_csv, make_planted_dataset, save_csv
-from refsel.cli import _selection_filename, main
-from refsel.config import DEFAULT_DELTAS, load_run_config
+from refsel.cli import _resolved_config, _selection_filename, build_parser, main
+from refsel.config import DEFAULT_DELTAS, RunConfig, load_run_config
 from refsel.ensemble import component_seeds
 from refsel.exceptions import UsageError
 
@@ -147,6 +149,70 @@ def test_config_rejects_bad_delta(tmp_path):
     )
     with pytest.raises(UsageError, match="outside"):
         load_run_config(p)
+
+
+@pytest.mark.parametrize("section", ["evaluation", "Training"])
+def test_unknown_section_exits_1_before_training(run_dir, monkeypatch, capsys, section):
+    # Section names are case-sensitive, so [Training] is not [training].
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble was trained on a config with an unknown section")
+
+    monkeypatch.setattr(cli_module, "run_ensemble", never)
+    cfg_path, _ = run_dir
+    with cfg_path.open("a", encoding="utf-8") as fh:
+        fh.write(f"\n[{section}]\ntrials = 4\n")
+    assert main(["select", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"usage error: unknown config section [{section}]\n"
+
+
+def test_benchmark_without_split_exits_1_naming_it(run_dir, capsys):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    assert "[split]\nfsds_fraction = 0.75\nseed = 7\n" in text
+    cfg_path.write_text(text.replace("[split]\nfsds_fraction = 0.75\nseed = 7\n", ""),
+                        encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: benchmark needs a [split] section to carve out the held-out dataset\n")
+
+
+def test_unknown_key_logs_one_warning_naming_it(run_dir, caplog):
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    text = text.replace("components = 3", "components = 3\ncomponets = 9")
+    text = text.replace("epochs = 4", "epochs = 4\nepoch = 5")
+    cfg_path.write_text("[DEFAULT]\nroot = runs\n" + text, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="refsel.config"):
+        cfg = load_run_config(cfg_path)
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignoring unknown config key [ensemble] componets",
+        "ignoring unknown config key [training] epoch",
+    ]
+    assert (cfg.n_components, cfg.training.epochs) == (3, 4)
+
+
+def test_every_override_flag_stores_into_a_run_config_field(run_dir):
+    cfg_path, _ = run_dir
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    given = {"--output": "elsewhere", "--components": "4", "--seed": "5", "--parallelism": "2",
+             "--delta": "0.5"}
+    for command, sub in subparsers.choices.items():
+        argv = [command, "--config", str(cfg_path)]
+        for action in sub._actions:
+            flag = action.option_strings[-1]
+            if flag in ("--config", "--selections", "--cds", "--help"):
+                continue
+            assert action.dest in fields, (command, flag, action.dest)
+            argv += [flag, given[flag]]
+        cfg = _resolved_config(parser.parse_args(argv))
+        for action in sub._actions:
+            if action.dest in fields:
+                value = (action.type or str)(given[action.option_strings[-1]])
+                assert getattr(cfg, action.dest) in (value, (value,)), (command, action.dest)
 
 
 # ---------------------------------------------------------------------------

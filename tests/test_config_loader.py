@@ -4,9 +4,9 @@
 which named every key and default in one keyword call to RunConfig, and
 its manifest serialiser. The current loader must accept the same files with
 equal results, reject the same files with the same exit code and message,
-and turn every configparser error into a UsageError. The one intended
-difference: a value holding a NUL byte is rejected, where the reference
-accepted it.
+and turn every configparser error into a UsageError. The two intended
+differences: a value holding a NUL byte is rejected, and so is a section
+the loader does not read, where the reference accepted both.
 """
 
 import configparser
@@ -21,8 +21,10 @@ from refsel.config import (
     DEFAULT_DELTAS, RunConfig, _floats, _label, _names, _strings, _widths, load_run_config,
 )
 from refsel.data import DatasetSplitSpec
+from refsel.ensemble import EnsembleConfig
+from refsel.evaluate import EvalProtocol
 from refsel.exceptions import RefselError, UsageError
-from refsel.nn import TrainingConfig
+from refsel.nn import DsaeConfig, TrainingConfig
 from test_cli_mutation import edits, mutate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -224,6 +226,14 @@ def edit_key(text: str, section: str, key: str, value) -> str:
     raise AssertionError(f"no [{section}] {key} in the text")
 
 
+def unread_sections(path):
+    """The sections of ``path`` that the reference loader never reads, in file order."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(path, encoding="utf-8")
+    read = ("data", "split", "ensemble", "training", "selection", "eval", "output")
+    return [section for section in parser.sections() if section not in read]
+
+
 def outcome(load, path):
     """("ok", manifest text) or (exception type, exit code or None, message)."""
     try:
@@ -242,6 +252,48 @@ def test_full_config_loads_like_the_reference(tmp_path):
     assert cfg.split == DatasetSplitSpec(0.6, 7, 4)
     assert cfg.training == TrainingConfig(4, 16, 0.01, 0.8, 0.99, 1e-7)
     assert cfg.label == "label" and cfg.scaling_mode == "symmetric_unit"
+
+
+def away_from(default):
+    """A value other than ``default`` that every class of the run config accepts in its place."""
+    if default is None:
+        return 2
+    if isinstance(default, tuple):
+        return default[1:]
+    return default / 2 if isinstance(default, float) else default + 1
+
+
+def test_builders_receive_every_declared_parameter(tmp_path):
+    # Every key that feeds a library class, and every [split] and [training]
+    # key, is set away from its default; the built objects must carry each value.
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL)
+    fed, held = {}, {}  # {(class, parameter): value}, {(RunConfig field, parameter): value}
+    for f in dataclasses.fields(RunConfig):
+        if "section" in f.metadata:
+            section, _, keys = f.metadata["section"]
+            entries = [(key, (f.name, param), default) for key, param, _, default in keys]
+        elif f.metadata["feeds"][0]:
+            (section, key, _), default = f.metadata["ini"], f.default
+            entries = [(key, f.metadata["feeds"], default)]
+        else:
+            continue
+        if not parser.has_section(section):
+            parser.add_section(section)
+        for key, target, default in entries:
+            value = away_from(default)
+            (held if "section" in f.metadata else fed)[target] = value
+            parser[section][key] = ",".join(value) if isinstance(value, tuple) else str(value)
+    path = tmp_path / "every_parameter.ini"
+    with path.open("w", encoding="utf-8") as fh:
+        parser.write(fh)
+    cfg = load_run_config(path)
+    ensemble = cfg.ensemble_config()
+    assert ensemble.dsae == cfg.dsae_config() and ensemble.training == cfg.training
+    built = {DsaeConfig: ensemble.dsae, EnsembleConfig: ensemble, EvalProtocol: cfg.protocol()}
+    assert {(cls, param): getattr(built[cls], param) for cls, param in fed} == fed
+    assert {(name, param): getattr(getattr(cfg, name), param) for name, param in held} == held
+    assert {name for name, _ in held} == {"split", "training"}
 
 
 # (section, key, value or None to delete the line, the parent's message)
@@ -279,7 +331,10 @@ def test_mutated_config_loads_like_the_reference(tmp_path_factory, changes):
     path = tmp_path_factory.mktemp("cfg") / "run.ini"
     path.write_bytes(mutate(FULL.encode("utf-8"), changes))
     ref, new = outcome(reference_load, path), outcome(load_run_config, path)
-    if ref[0] == "ok" and "\\x00" in str(new):
+    if ref[0] == "ok" and new[0] != "ok" and new[2].startswith("unknown config section ["):
+        # The reference ignored a section it never read.
+        assert new == (UsageError, 1, f"unknown config section [{unread_sections(path)[0]}]")
+    elif ref[0] == "ok" and "\\x00" in str(new):
         # The reference let a NUL byte through, to fail later as a path.
         assert new[0] is UsageError and "cannot parse" in new[2], new
     elif ref[0] == "ok":
