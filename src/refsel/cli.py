@@ -2,9 +2,10 @@
 
 Every run writes a manifest echoing the resolved configuration; those of the
 commands that train also list the component seeds. Any output can thus be
-reproduced byte-for-byte from its manifest. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric failure, 143 on SIGTERM, which unwinds a run
-like Ctrl-C: its worker processes are killed and its temp files removed.
+reproduced byte-for-byte from its manifest with the same numpy, the same BLAS
+and the same BLAS thread count. Exit codes: 0 success, 1 usage error, 2 data
+error, 3 numeric failure, 143 on SIGTERM, which unwinds a run like Ctrl-C:
+its worker processes are killed and its temp files removed.
 Each override flag stores into the RunConfig field whose key it replaces.
 
 Training, evaluation and CSV input and output use every CPU of the affinity
@@ -46,7 +47,7 @@ from .data import (
 from .ensemble import component_seeds, q_shape, run_ensemble, select_at_thresholds, stacks
 from .evaluate import chi2_rank, evaluate_selection
 from .exceptions import DataError, RefselError, UsageError
-from .sampling import LabeledDataset
+from .sampling import LabeledDataset, stratified_rows
 from .workers import ordered_map
 
 logger = logging.getLogger(__name__)
@@ -193,6 +194,8 @@ def _cmd_select(args) -> int:
     for stale in out.glob("selection_delta_*.json"):
         if stale.name not in names:  # an earlier run's level: evaluate scores every file here
             stale.unlink()
+    if cds is None:  # evaluate would score these selections on an earlier run's held-out rows
+        (out / "cds.csv").unlink(missing_ok=True)
     write_csv(out / "selection_summary.csv", *selection_summary_table(results))
     if cds is not None:
         save_csv(cds, out / "cds.csv")
@@ -233,6 +236,11 @@ def _cmd_benchmark(args) -> int:
     if cfg.split is None:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds = _selection_data(cfg)
+    protocol = cfg.protocol()
+    try:  # each trial splits the held-out set as this does
+        stratified_rows(cds.y, protocol.train_fraction, protocol.split_seed)
+    except DataError as exc:
+        raise DataError(f"held-out dataset: {exc}") from None
     with closing(ordered_map(*_stack_blocks(fsds, cfg))) as blocks:
         results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     pairs = [(r.delta_quantile, r.selected) for r in results]
@@ -240,7 +248,6 @@ def _cmd_benchmark(args) -> int:
     # [0, 1], which leaves a unit_interval FSDS unchanged to the bit.
     unit = LabeledDataset(apply_scaling(fit_scaling(fsds.X, "unit_interval"), fsds.X), fsds.y)
     matched = [(dq, chi2_rank(unit, len(cols)) if len(cols) else cols) for dq, cols in pairs]
-    protocol = cfg.protocol()
     reports = {
         "refsel": evaluate_selection(cds, pairs, protocol),
         "chi2": evaluate_selection(cds, matched, protocol),

@@ -15,7 +15,6 @@ import configparser
 import contextlib
 import dataclasses
 import logging
-import sys
 import typing
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -162,12 +161,6 @@ class RunConfig:
         if self.estimator not in ESTIMATORS:
             raise UsageError(f"[selection] estimator must be {' or '.join(ESTIMATORS)}, "
                              f"got {self.estimator!r}")
-        # Q holds at least two rows per component, one float64 per feature.
-        if self.encoder_widths and 16 * self.n_components * self.encoder_widths[0] > sys.maxsize:
-            raise UsageError(
-                f"[ensemble] components = {self.n_components} gives an error matrix larger "
-                "than memory can address"
-            )
         self.ensemble_config()
         self.protocol()
         return self

@@ -325,7 +325,7 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
         raise FormatError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
     data = np.frombuffer(raw, dtype=np.uint8, offset=header_end)
-    if data.size != int(np.prod(dims)):
+    if data.size != math.prod(dims):  # exact: np.prod wraps in int64
         raise FormatError(f"{path}: payload size does not match dimensions {dims}")
     return data.reshape(dims)
 

@@ -26,6 +26,7 @@ from .sampling import LabeledDataset, build_component_split, derive_seed
 logger = logging.getLogger(__name__)
 
 ESTIMATORS = ("mean", "median")  # per-feature class error estimators of class_mean_re
+Q_MAX_BYTES = 2**47  # the largest error matrix Q: 128 TiB, the user address space of a 48-bit CPU
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_components < 1:
             raise ParameterError("n_components must be >= 1")
+        if 16 * self.n_components * self.dsae.n_features > Q_MAX_BYTES:  # 2 float64 rows each
+            raise ParameterError(f"n_components = {self.n_components} gives an error matrix "
+                                 f"over {Q_MAX_BYTES} bytes")
         if self.parallelism < 1:
             raise ParameterError("parallelism must be >= 1")
 
@@ -165,8 +169,8 @@ def run_ensemble(data: LabeledDataset, cfg: EnsembleConfig, components: range = 
     rows, n_features = q_shape(data, cfg.n_components)
     m = 2 * data.n_minority  # test rows per component
     try:
-        if rows * n_features * 8 > 2**47:  # all of Q, even for a block: 128 TiB, the
-            raise MemoryError("over 2**47 bytes")  # user address space of a 48-bit CPU
+        if rows * n_features * 8 > Q_MAX_BYTES:  # all of Q, even for a block
+            raise MemoryError(f"over {Q_MAX_BYTES} bytes")
         q = np.empty((m * len(components), n_features))
         labels = np.empty(m * len(components), dtype=np.int64)
     except MemoryError as exc:

@@ -601,13 +601,80 @@ def test_impossible_component_count_exits_1(run_dir, capsys):
 
 
 def test_unallocatable_error_matrix_exits_1(run_dir, capsys):
-    # 10**15 components pass the config check (Q is at least 2 rows each) but
-    # the 24 * 10**15 x 12 matrix (2 EiB) cannot be allocated.
+    # 10**11 components pass the config check (Q is at least 2 rows each: 17 TiB)
+    # but the 24 * 10**11 x 12 matrix (210 TiB) cannot be allocated.
     cfg_path, _ = run_dir
-    assert main(["select", "--config", str(cfg_path), "--components", str(10**15)]) == 1
+    assert main(["select", "--config", str(cfg_path), "--components", str(10**11)]) == 1
     err = capsys.readouterr().err
-    assert "cannot allocate the 24000000000000000 x 12 error matrix" in err
+    assert "cannot allocate the 2400000000000 x 12 error matrix" in err
     assert "Traceback" not in err
+
+
+def test_error_matrix_over_the_limit_exits_1_before_reading_data(run_dir, monkeypatch, capsys):
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset was read before the config was rejected")
+
+    monkeypatch.setattr(cli_module, "load_csv", never)
+    cfg_path, _ = run_dir
+    # Two rows of 12 float64 per component: 192 * 10**12 bytes, over 2**47.
+    assert main(["select", "--config", str(cfg_path), "--components", str(10**12)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: [ensemble] components: n_components = 1000000000000 gives an error "
+        "matrix over 140737488355328 bytes\n")
+
+
+def test_select_without_split_removes_an_earlier_cds(run_dir, capsys):
+    # Else evaluate would score the new selections, trained on every row,
+    # on the earlier run's held-out rows.
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    assert (out_dir / "cds.csv").exists()
+    text = cfg_path.read_text(encoding="utf-8")
+    split = "[split]\nfsds_fraction = 0.75\nseed = 7\n"
+    assert split in text
+    cfg_path.write_text(text.replace(split, ""), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    assert not (out_dir / "cds.csv").exists()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: dataset file not found: {out_dir / 'cds.csv'}\n"
+
+
+def test_benchmark_with_too_few_held_out_rows_exits_2_before_training(run_dir, monkeypatch,
+                                                                      capsys):
+    import refsel.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble was trained before the held-out set was rejected")
+
+    monkeypatch.setattr(cli_module, "run_ensemble", never)
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    # 15 of the 16 minority rows go to the selection set, one to the held-out set.
+    cfg_path.write_text(text.replace("fsds_fraction = 0.75", "fsds_fraction = 0.95"),
+                        encoding="utf-8")
+    assert main(["benchmark", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: held-out dataset: class 1 has 1 rows; need at least 2 to split\n")
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("label, message", [
+    ("nope", "label column 'nope' not in header "),
+    ("99", "label column index 99 out of range"),
+], ids=["name", "index"])
+def test_missing_label_column_exits_2(run_dir, monkeypatch, capsys, cpus, label, message):
+    # On 4 CPUs the body is cut into several ranges; the fault is left to one pass.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(refsel.data, "CSV_RANGE_BYTES", 64)
+    cfg_path, _ = run_dir
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("label = label", f"label = {label}"), encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("old, new", [
@@ -851,6 +918,41 @@ def test_bad_idx_settings_exit_1_before_reading_data(idx_run, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert "Traceback" not in err
+
+
+IDX_FILE_FAULTS = {  # file: (its bytes, or None for no file; the message after "error: ")
+    "missing": ("images.idx", None, "dataset file not found: {path}"),
+    "truncated_header": ("labels.idx", b"\x00\x00\x08", "{path}: truncated IDX header"),
+    "truncated_dimensions": ("images.idx", struct.pack(">II", 0x803, 62),
+                             "{path}: truncated IDX dimension header"),
+    "short_payload": ("labels.idx", struct.pack(">II", 0x801, 62) + bytes(61),
+                      "{path}: payload size does not match dimensions (62,)"),
+    # 2**64 pixels, a product that wraps to 0 in int64, and no pixel at all.
+    "dimensions_past_int64": ("images.idx", struct.pack(">IIII", 0x803, 2**22, 2**21, 2**21),
+                              "{path}: payload size does not match dimensions "
+                              "(4194304, 2097152, 2097152)"),
+}
+
+
+@pytest.mark.parametrize("case", IDX_FILE_FAULTS)
+def test_bad_idx_file_exits_2_with_one_line(idx_run, capsys, case):
+    name, content, message = IDX_FILE_FAULTS[case]
+    cfg_path, _ = idx_run
+    path = cfg_path.parent / name
+    path.unlink()
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_idx_class_without_rows_exits_2(idx_run, capsys):
+    cfg_path, _ = idx_run
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("minority_class = 7", "minority_class = 9"),
+                        encoding="utf-8")
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: no rows with label 9\n"
 
 
 def diverging_config(tmp_path, learning_rate, epochs):

@@ -411,6 +411,20 @@ def test_load_csv_parses_a_regular_body_only_in_ranges(tmp_path, monkeypatch):
     no_process_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_load_csv_reads_an_irregular_header_in_one_pass(tmp_path, monkeypatch, cpus):
+    path = write(tmp_path, "d.csv", '"f1",f2,target\n' + good_rows(40))  # a quoted name
+    expected = reference_load_csv(path, "target")
+    cut_fine(monkeypatch, cpus)
+    parse_ranges, ranged = data_module._parse_ranges, []
+    monkeypatch.setattr(data_module, "_parse_ranges",
+                        lambda *args: ranged.append(parse_ranges(*args)) or ranged[-1])
+    monkeypatch.setattr(data_module, "_parse_range", None)  # a range parse would raise TypeError
+    assert_loads_as(path, "target", None, expected)
+    assert ranged == [None]
+    no_process_left()
+
+
 def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, monkeypatch):
     text = "f1,f2,target\n" + good_rows(40)
     expected = reference_load_csv(write(tmp_path, "d.csv", text), "target")

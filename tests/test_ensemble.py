@@ -117,6 +117,38 @@ def test_component_error_names_the_index_in_the_whole_ensemble(monkeypatch):
         assert exc.value.component_index == index
 
 
+def test_a_stack_wide_error_names_the_stacks_first_component(monkeypatch):
+    fit, calls = refsel.ensemble.train, []
+
+    def second_stack_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DataError("no rows to train on")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(refsel.ensemble, "train", second_stack_fails)
+    cfg = make_ensemble_config(n_components=5, parallelism=2)
+    with pytest.raises(ComponentError) as exc:
+        run_ensemble(make_data(30, 5), cfg)
+    assert str(exc.value) == "component 2: no rows to train on"
+    assert exc.value.component_index == 2 and exc.value.exit_code == 2
+    assert type(exc.value.__cause__) is DataError
+
+
+def test_a_component_error_from_outside_refsel_exits_3():
+    assert ComponentError(0, ValueError("x")).exit_code == 3
+
+
+def test_ensemble_config_bounds_the_smallest_error_matrix():
+    # Q holds at least two float64 rows of 4 features per component.
+    largest = refsel.ensemble.Q_MAX_BYTES // (16 * 4)
+    assert make_ensemble_config(n_components=largest).n_components == largest
+    for n_components in (largest + 1, 2**63):
+        with pytest.raises(ParameterError, match=f"^n_components = {n_components} gives an "
+                                                 "error matrix over 140737488355328 bytes$"):
+            make_ensemble_config(n_components=n_components)
+
+
 def test_rows_grouped_by_component_minority_first():
     data = make_data(30, 3)
     q = run_ensemble(data, make_ensemble_config(n_components=4, epochs=0))
