@@ -7,6 +7,10 @@ and the same BLAS thread count. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numeric failure, 143 on SIGTERM, which unwinds a run like Ctrl-C:
 its worker processes are killed and its temp files removed.
 Each override flag stores into the RunConfig field whose key it replaces.
+``evaluate`` reads only what ``select`` wrote to the output directory: the
+selection files and ``cds.csv`` (label ``label``, 1 = minority). ``select``
+and ``benchmark`` exit 2 before training when the [eval] trials cannot split
+the held-out set.
 
 Training, evaluation and CSV input and output use every CPU of the affinity
 mask (``taskset`` restricts it): stacks of components, chunks of trials and
@@ -45,9 +49,9 @@ from .data import (
     write_csv,
 )
 from .ensemble import component_seeds, q_shape, run_ensemble, select_at_thresholds, stacks
-from .evaluate import chi2_rank, evaluate_selection
+from .evaluate import EvalProtocol, chi2_rank, evaluate_selection
 from .exceptions import DataError, RefselError, UsageError
-from .sampling import LabeledDataset, stratified_rows
+from .sampling import LabeledDataset
 from .workers import ordered_map
 
 logger = logging.getLogger(__name__)
@@ -90,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score selection files on the held-out dataset")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--output", dest="output_dir", help="override the output directory")
-    p_eval.add_argument(
-        "--selections", help="directory holding selection_delta_*.json (default: output dir)"
-    )
-    p_eval.add_argument("--cds", help="held-out dataset CSV (default: <output>/cds.csv)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_bench = sub.add_parser(
@@ -156,6 +156,14 @@ def _no_label_feature(data: LabeledDataset, filename: str):
         raise DataError(f"a feature column is named 'label', like the label column of {filename}")
 
 
+def _check_trials_split(cds: LabeledDataset, protocol: EvalProtocol):
+    """Raise DataError before training unless every [eval] trial can split ``cds``."""
+    try:
+        protocol.trial_rows(cds.y)
+    except DataError as exc:
+        raise DataError(f"held-out dataset: {exc}") from None
+
+
 def _stack_blocks(fsds: LabeledDataset, cfg: RunConfig):
     """(block_of, stacks): ``block_of(stack)`` trains a stack of components into Q's block."""
     ecfg = cfg.ensemble_config()
@@ -185,6 +193,7 @@ def _cmd_select(args) -> int:
     fsds, cds = _selection_data(cfg)
     if cds is not None:
         _no_label_feature(cds, "cds.csv")
+        _check_trials_split(cds, cfg.protocol())
     with closing(ordered_map(*_stack_blocks(fsds, cfg))) as blocks:
         results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     out = Path(cfg.output_dir)
@@ -206,14 +215,13 @@ def _cmd_select(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _resolved_config(args)
-    directory = Path(args.selections) if args.selections else Path(cfg.output_dir)
-    files = sorted(directory.glob("selection_delta_*.json"))
+    out = Path(cfg.output_dir)
+    files = sorted(out.glob("selection_delta_*.json"))
     if not files:
-        raise UsageError(f"no selection_delta_*.json files in {directory}")
+        raise UsageError(f"no selection_delta_*.json files in {out}")
     selections = sorted((load_selection(f) for f in files), key=lambda r: r.delta_quantile)
-    cds_path = Path(args.cds) if args.cds else Path(cfg.output_dir) / "cds.csv"
-    minority = "1" if args.cds is None else None  # cds.csv written by select uses 1 = minority
-    cds = load_csv(cds_path, label="label", minority_label=minority)
+    cds_path = out / "cds.csv"
+    cds = load_csv(cds_path, label="label", minority_label="1")  # as select wrote it
     for sel in selections:  # a file may come from a run on another dataset
         if len(sel.delta) != cds.n_features:
             raise DataError(
@@ -222,7 +230,6 @@ def _cmd_evaluate(args) -> int:
             )
     pairs = [(sel.delta_quantile, sel.selected) for sel in selections]
     report = evaluate_selection(cds, pairs, cfg.protocol())
-    out = Path(cfg.output_dir)
     write_csv(out / "report_rows.csv", *report_rows_table(report))
     write_csv(out / "report_summary.csv", *report_summary_table(report))
     save_json(report_to_dict(report), out / "report.json")
@@ -237,10 +244,7 @@ def _cmd_benchmark(args) -> int:
         raise UsageError("benchmark needs a [split] section to carve out the held-out dataset")
     fsds, cds = _selection_data(cfg)
     protocol = cfg.protocol()
-    try:  # each trial splits the held-out set as this does
-        stratified_rows(cds.y, protocol.train_fraction, protocol.split_seed)
-    except DataError as exc:
-        raise DataError(f"held-out dataset: {exc}") from None
+    _check_trials_split(cds, protocol)
     with closing(ordered_map(*_stack_blocks(fsds, cfg))) as blocks:
         results = select_at_thresholds(blocks, cfg.delta_quantiles, cfg.estimator)
     pairs = [(r.delta_quantile, r.selected) for r in results]

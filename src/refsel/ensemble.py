@@ -46,7 +46,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_components < 1:
             raise ParameterError("n_components must be >= 1")
-        if 16 * self.n_components * self.dsae.n_features > Q_MAX_BYTES:  # 2 float64 rows each
+        if 16 * int(self.n_components) * int(self.dsae.n_features) > Q_MAX_BYTES:  # 2 rows each
             raise ParameterError(f"n_components = {self.n_components} gives an error matrix "
                                  f"over {Q_MAX_BYTES} bytes")
         if self.parallelism < 1:

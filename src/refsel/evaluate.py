@@ -56,6 +56,13 @@ class EvalProtocol:
         if len(set(self.classifiers)) != len(self.classifiers):
             raise ParameterError(f"classifiers {list(self.classifiers)} name one twice")
 
+    def trial_rows(self, y):
+        """(train rows, test rows) of labels ``y``: row t of each is trial t's split by
+        ``stratified_rows`` at seed derive_seed(split_seed, t)."""
+        splits = [stratified_rows(y, self.train_fraction, derive_seed(self.split_seed, t))
+                  for t in range(self.trials)]
+        return np.array([train for train, _ in splits]), np.array([test for _, test in splits])
+
 
 @dataclass
 class EvalRow:
@@ -159,9 +166,9 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
     """Score each selection (plus the all-features baseline) on the held-out set.
 
     ``selections`` is an iterable of ``(level, columns)`` pairs; a column index
-    outside the held-out dataset raises DataError. Trial t re-splits the rows
-    with seed derive_seed(split_seed, t); one split per trial is shared by
-    every classifier and selection. Each column set's trials are gathered
+    outside the held-out dataset raises DataError. Each trial splits the rows
+    as ``protocol.trial_rows`` does; one split per trial is shared by every
+    classifier and selection. Each column set's trials are gathered
     once per chunk of at most LR_STACK_BYTES of training data, and every
     classifier scores that chunk (see ``_score_chunk``). The chunks are
     scored through ``ordered_map``, so with more than one CPU in the
@@ -182,10 +189,7 @@ def evaluate_selection(cds: LabeledDataset, selections, protocol: EvalProtocol) 
             )
         entries.append((dq, cols))
 
-    splits = [stratified_rows(cds.y, protocol.train_fraction, derive_seed(protocol.split_seed, t))
-              for t in range(protocol.trials)]
-    train_rows = np.array([train for train, _ in splits])
-    test_rows = np.array([test for _, test in splits])
+    train_rows, test_rows = protocol.trial_rows(cds.y)
     y_train, y_test = cds.y[train_rows], cds.y[test_rows]
     # (entry index, classifier) -> (trials, 2) of (auroc, sensitivity); NaN if skipped
     scores = {(e, name): np.full((protocol.trials, 2), np.nan)

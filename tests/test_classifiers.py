@@ -7,7 +7,7 @@ import pytest
 
 from refsel import GaussianNB, KNeighbors, LogisticRegression, auroc
 from refsel.classifiers import logistic_loss_grad
-from refsel.exceptions import DataError
+from refsel.exceptions import DataError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,13 @@ def test_nb_priors_follow_frequencies():
 def test_nb_single_class_fit_error():
     with pytest.raises(DataError):
         GaussianNB().fit(np.zeros((3, 2)), np.zeros(3, dtype=int))
+
+
+def test_misshapen_training_data_and_non_positive_k_are_rejected():
+    with pytest.raises(ShapeError, match=r"^X must be 2-D \(or a stack of 2-D sets\)"):
+        GaussianNB().fit(np.zeros(4), np.array([0, 1, 0, 1]))
+    with pytest.raises(DataError, match="^k must be positive$"):
+        KNeighbors(k=0)
 
 
 # ---------------------------------------------------------------------------

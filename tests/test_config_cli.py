@@ -204,7 +204,7 @@ def test_every_override_flag_stores_into_a_run_config_field(run_dir):
         argv = [command, "--config", str(cfg_path)]
         for action in sub._actions:
             flag = action.option_strings[-1]
-            if flag in ("--config", "--selections", "--cds", "--help"):
+            if flag in ("--config", "--help"):
                 continue
             assert action.dest in fields, (command, flag, action.dest)
             argv += [flag, given[flag]]
@@ -660,6 +660,32 @@ def test_benchmark_with_too_few_held_out_rows_exits_2_before_training(run_dir, m
         "error: held-out dataset: class 1 has 1 rows; need at least 2 to split\n")
 
 
+def test_select_with_too_few_held_out_rows_exits_2_before_training(run_dir, monkeypatch,
+                                                                   capsys, tmp_path):
+    # evaluate could not split the cds.csv such a run would write.
+    import refsel.cli as cli_module
+
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    earlier = read_bytes_map(out_dir, "*")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble was trained before the held-out set was rejected")
+
+    monkeypatch.setattr(cli_module, "run_ensemble", never)
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("fsds_fraction = 0.75", "fsds_fraction = 0.95"),
+                        encoding="utf-8")
+    for out in (out_dir, tmp_path / "fresh"):
+        capsys.readouterr()
+        assert main(["select", "--config", str(cfg_path), "--output", str(out),
+                     "--delta", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: held-out dataset: class 1 has 1 rows; need at least 2 to split\n")
+    assert read_bytes_map(out_dir, "*") == earlier
+    assert not (tmp_path / "fresh").exists()
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("label, message", [
     ("nope", "label column 'nope' not in header "),
@@ -752,9 +778,14 @@ def test_flag_replaces_a_bad_file_value(run_dir, old, new, flags):
     ("trials = 2", "trials = 0", "[eval] trials"),
     ("classifiers = gaussian_nb,knn", "classifiers = knn,knn", "[eval] classifiers"),
     ("deltas = 0.75,0.9", "deltas = 0.9,0.9", "[selection] deltas"),
+    ("format = csv", "format = parquet", "[data] format: unknown data format 'parquet'"),
+    ("encoder = 12-6-3", "encoder = 100",
+     "[ensemble] encoder, encoder_activations: need at least two widths"),
+    ("encoder_activations = tanh", "encoder_activations = tanh-tanh-tanh",
+     "[ensemble] encoder, encoder_activations: 2 layers but 3 activation names"),
 ], ids=["idx_without_images", "fsds_fraction", "minority_subsample", "components",
         "parallelism", "activation", "chain", "l1_penalty", "epochs", "beta2", "train_fraction",
-        "trials", "classifiers", "repeated_delta"])
+        "trials", "classifiers", "repeated_delta", "format", "one_width", "activation_count"])
 def test_bad_value_names_its_key(run_dir, capsys, old, new, key):
     cfg_path, _ = run_dir
     text = cfg_path.read_text(encoding="utf-8")
@@ -793,6 +824,7 @@ def test_negative_master_and_eval_seeds_still_run(run_dir):
     cfg_path.write_text(text, encoding="utf-8")
     assert main(["select", "--config", str(cfg_path)]) == 0
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert main(["benchmark", "--config", str(cfg_path)]) == 0
 
 
 def test_bad_interpolation_exits_1_naming_the_key(run_dir, capsys):

@@ -26,7 +26,7 @@ from refsel import (
     select_features,
 )
 from refsel import data as data_module
-from refsel.data import export_q_csv, write_csv
+from refsel.data import ScalingParams, export_q_csv, write_csv
 from refsel.ensemble import REMatrix
 from refsel.exceptions import DataError, FormatError, ParameterError, ParseError
 
@@ -608,6 +608,13 @@ def test_symmetric_scaling_range():
 def test_unknown_mode_rejected():
     with pytest.raises(ParameterError):
         fit_scaling(np.ones((2, 1)), "zscore")
+
+
+def test_scaling_rejects_empty_matrix_and_inverted_bounds():
+    with pytest.raises(DataError, match="^scaling needs a non-empty 2-D matrix$"):
+        fit_scaling(np.zeros((0, 2)), "unit_interval")
+    with pytest.raises(DataError, match="^per-feature max must be >= min$"):
+        ScalingParams(mode="unit_interval", minimums=np.array([1.0]), maximums=np.array([0.0]))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["unit_interval", "symmetric_unit"]))

@@ -184,6 +184,26 @@ def test_ensemble_config_validation():
         make_ensemble_config(n_components=0)
 
 
+def test_ensemble_config_bounds_a_numpy_component_count_without_wrapping():
+    # 16 * 2**62 * 4 wraps to 0 in int64 arithmetic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="^n_components = 4611686018427387904 gives"):
+            make_ensemble_config(n_components=np.int64(2**62))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: REMatrix(Q=np.zeros(4), labels=np.array([0, 1, 0, 1])), DataError,
+     "Q must be 2-D"),
+    (lambda: REMatrix(Q=np.zeros((4, 2)), labels=np.array([0, 1])), DataError,
+     "labels length must match Q rows"),
+    (lambda: select_at_thresholds([], []), ParameterError, "need at least one quantile level"),
+], ids=["q_rank", "label_count", "no_levels"])
+def test_ensemble_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # REMatrix
 

@@ -69,6 +69,11 @@ def test_auroc_requires_both_classes():
         auroc([0.1, 0.2], [1, 1])
 
 
+def test_auroc_rejects_scores_and_labels_of_different_lengths():
+    with pytest.raises(DataError, match="^scores and labels must be 1-D and the same length$"):
+        auroc(np.zeros(3), np.array([0, 1]))
+
+
 @pytest.mark.parametrize("tie_values", [None, (0.0, 0.25, 0.5, 0.75, 1.0)])
 def test_auroc_matches_pairwise_oracle(tie_values):
     rng = np.random.default_rng(17)

@@ -542,6 +542,25 @@ def test_training_config_validation():
         TrainingConfig(beta1=1.0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LayerSpec(0, 3, "tanh"), ParameterError, "layer widths must be positive"),
+    (lambda: DsaeConfig(encoder_layers=(), decoder_layers=layers_from_widths([2, 2], "linear")),
+     ParameterError, "encoder and decoder each need at least one layer"),
+    (lambda: small_config(seed=()), ParameterError, "a stack needs at least one seed"),
+    (lambda: forward(DsaeModel.from_config(small_config()), np.zeros((1, 4, 2))),
+     ShapeError, r"batch must have shape \(\) \+ \(rows, columns\), got \(1, 4, 2\)"),
+    (lambda: train(DsaeModel.from_config(small_config()), np.zeros((4, 3)),
+                   TrainingConfig(epochs=1)),
+     ShapeError, "training matrix has 3 columns, model expects 2"),
+    (lambda: train(DsaeModel.from_config(small_config()), np.zeros((4, 2)),
+                   TrainingConfig(epochs=1), rows=np.arange(0)),
+     ShapeError, r"rows must have shape \(\) \+ \(n,\) with n >= 1, got \(0,\)"),
+], ids=["layer_width", "no_encoder", "no_seeds", "batch_rank", "train_columns", "no_rows"])
+def test_nn_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # reconstruction_errors
 

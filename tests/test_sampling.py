@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsel import LabeledDataset, build_component_split, derive_seed
+from refsel import LabeledDataset, build_component_split, derive_seed, make_planted_dataset
 from refsel.ensemble import component_seeds
-from refsel.exceptions import DataError
+from refsel.exceptions import DataError, ParameterError
 
 
 def tagged_dataset(n_majority, n_minority, n_features=3):
@@ -32,6 +32,21 @@ def test_dataset_requires_minority_label_one():
 def test_dataset_rejects_non_binary_labels():
     with pytest.raises(DataError, match="0/1"):
         LabeledDataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LabeledDataset(X=np.zeros(3), y=np.array([0, 0, 1])), DataError,
+     r"X must be 2-D, got shape \(3,\)"),
+    (lambda: LabeledDataset(X=np.zeros((3, 2)), y=np.array([0, 1])), DataError,
+     "y length must equal the number of rows of X"),
+    (lambda: LabeledDataset(X=np.zeros((3, 2)), y=np.array([0, 0, 1]), feature_names=["a"]),
+     DataError, "feature_names length must equal the number of columns"),
+    (lambda: make_planted_dataset(50, 10, 3, n_planted=4), ParameterError,
+     "cannot plant more columns than exist"),
+], ids=["x_rank", "label_count", "name_count", "planted_count"])
+def test_dataset_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_split_shapes_five_minority_hundred_majority():
