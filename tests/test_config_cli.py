@@ -1285,3 +1285,35 @@ def test_main_restores_the_sigterm_handler(run_dir):
     before = signal.getsignal(signal.SIGTERM)
     assert main(["select", "--config", str(run_dir[0]), "--components", "0"]) == 1
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def placed_outputs(out_dir):
+    """Name -> (inode, mtime, bytes) of every entry in ``out_dir``, hidden ones included."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+            for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["select", "export-q"])
+def test_rerun_keeps_every_output_in_place(run_dir, command):
+    cfg_path, out_dir = run_dir
+    assert main([command, "--config", str(cfg_path)]) == 0
+    first = placed_outputs(out_dir)
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert placed_outputs(out_dir) == first
+    assert not [name for name in first if name.startswith(".")]
+    no_process_left()
+
+
+def test_rerun_with_another_seed_replaces_only_changed_outputs(run_dir):
+    cfg_path, out_dir = run_dir
+    assert main(["select", "--config", str(cfg_path)]) == 0
+    first = placed_outputs(out_dir)
+    assert main(["select", "--config", str(cfg_path), "--seed", "12"]) == 0
+    second = placed_outputs(out_dir)
+    assert second.keys() == first.keys()
+    replaced = {name for name in first if first[name][0] != second[name][0]}
+    assert replaced == {name for name in first if first[name][2] != second[name][2]}
+    selections = {p.name for p in out_dir.glob("selection_delta_*.json")}
+    assert len(selections) == 2 and selections | {"manifest.json"} <= replaced
+    assert "cds.csv" in second and "cds.csv" not in replaced  # the same [split] seed
+    no_process_left()

@@ -2,8 +2,10 @@
 
 import bisect
 import csv
+import filecmp
 import json
 import os
+import stat
 import struct
 import threading
 
@@ -26,7 +28,7 @@ from refsel import (
     select_features,
 )
 from refsel import data as data_module
-from refsel.data import ScalingParams, export_q_csv, write_csv
+from refsel.data import ScalingParams, export_q_csv, save_json, write_csv
 from refsel.ensemble import REMatrix
 from refsel.exceptions import DataError, FormatError, ParameterError, ParseError
 
@@ -790,6 +792,93 @@ def test_write_csv_failure_leaves_target_untouched(tmp_path, existing):
     else:
         assert path.read_text(encoding="utf-8") == existing
     assert [p.name for p in tmp_path.iterdir() if p.name != "out.csv"] == []
+
+
+def inode_and_mtime(path):
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_write_csv_keeps_a_file_it_only_reproduces(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [["1", "2"]])
+    before = inode_and_mtime(path)
+    write_csv(path, ["a", "b"], [["1", "2"]])
+    assert inode_and_mtime(path) == before
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_replaces_a_file_of_the_same_size_with_other_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [["1", "2"]])
+    before = inode_and_mtime(path)
+    write_csv(path, ["a", "b"], [["1", "3"]])
+    assert inode_and_mtime(path)[0] != before[0]
+    assert path.read_bytes() == b"a,b\n1,3\n"
+
+
+def test_save_json_replaces_a_file_whose_mode_the_umask_changes(tmp_path):
+    path = tmp_path / "out.json"
+    previous = os.umask(0o022)
+    try:
+        save_json({"a": 1}, path)
+        before = inode_and_mtime(path)
+        os.umask(0o077)
+        save_json({"a": 1}, path)
+    finally:
+        os.umask(previous)
+    assert inode_and_mtime(path)[0] != before[0]
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+
+def test_write_csv_replaces_a_symlink_to_an_identical_file(tmp_path):
+    target, path = tmp_path / "target.csv", tmp_path / "out.csv"
+    write_csv(target, ["a"], [["1"]])
+    before = inode_and_mtime(target)
+    path.symlink_to(target)
+    write_csv(path, ["a"], [["1"]])
+    assert not path.is_symlink() and path.read_bytes() == b"a\n1\n"
+    assert inode_and_mtime(target) == before and target.read_bytes() == b"a\n1\n"
+
+
+def test_write_csv_replaces_a_hard_linked_file(tmp_path):
+    path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    write_csv(path, ["a"], [["1"]])
+    os.link(path, other)
+    before = inode_and_mtime(other)
+    write_csv(path, ["a"], [["1"]])
+    assert inode_and_mtime(path)[0] != before[0] and path.read_bytes() == b"a\n1\n"
+    assert inode_and_mtime(other) == before and os.stat(other).st_nlink == 1
+
+
+def test_write_csv_replaces_a_file_it_cannot_compare(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [["1"]])
+    before = inode_and_mtime(path)
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(filecmp, "cmp", unreadable)
+    write_csv(path, ["a"], [["1"]])
+    assert inode_and_mtime(path)[0] != before[0] and path.read_bytes() == b"a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_csv_interrupted_while_comparing_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [["1"]])
+    before = inode_and_mtime(path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(filecmp, "cmp", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(path, ["a"], [["1"]])
+    assert inode_and_mtime(path) == before and path.read_bytes() == b"a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 VALID_SELECTION = {
