@@ -4,10 +4,10 @@ Every run writes a manifest echoing the resolved configuration; those of the
 commands that train also list the component seeds. Any output can thus be
 reproduced byte-for-byte from its manifest with the same numpy, the same BLAS
 and the same BLAS thread count. A rerun that reproduces a file leaves it in
-place, inode and mtime included, because renaming over a file costs more
-than comparing it (see ``data.open_atomic``). Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric failure, 143 on SIGTERM, which unwinds a run
-like Ctrl-C: its worker processes are killed and its temp files removed.
+place, inode and mtime included, to skip a costly rename (see
+``data.open_atomic``). Exit codes: 0 success, 1 usage error, 2 data error,
+3 numeric failure, 143 on SIGTERM, which unwinds a run like Ctrl-C: its
+worker processes are killed and its temp files removed.
 Each override flag stores into the RunConfig field whose key it replaces.
 ``evaluate`` reads only what ``select`` wrote to the output directory: the
 selection files and ``cds.csv`` (label ``label``, 1 = minority). ``select``

@@ -3,9 +3,8 @@
 File formats: CSV with a header row, comma delimiter, UTF-8 and '.' decimals;
 IDX image/label pairs (big-endian magic 0x00000803 / 0x00000801, unsigned
 bytes). Every write streams through ``open_atomic``, a temp-file-then-rename,
-so partial files never appear under the final name. A file the write would
-only reproduce is left in place, inode and mtime included: renaming over a
-file costs far more than comparing it, and a rerun writes the same bytes.
+so partial files never appear under the final name; a file the write would
+only reproduce is left in place, to skip the rename (see ``open_atomic``).
 
 A large CSV is read and written on every CPU of the affinity mask through
 ``workers.ordered_map``, in byte ranges of its body or blocks of its rows.
@@ -472,10 +471,9 @@ def open_atomic(path):
     """Yield a text handle on a temp file that replaces ``path`` only on success.
 
     A file already at ``path`` that the temp file would only reproduce (see
-    _unchanged) is kept, inode and mtime included, and the temp file deleted.
-    A rerun writes the same bytes, and on ext4 mounted with ``discard`` a
-    rename over a written-back file waits while its blocks are freed: 50 ms
-    for 1 kB, over 1 s for 70 MB, far more than reading both files.
+    _unchanged) is kept, inode and mtime included, and the temp file deleted:
+    where a rename over a file waits for its blocks to be freed, that rename
+    costs more than reading both files (measurements in the README).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
